@@ -96,15 +96,31 @@ fn bench_fft(crit: &mut Criterion) {
 fn bench_viterbi(crit: &mut Criterion) {
     let code = ConvCode::new(CodeRate::Half);
     let mut rng = StdRng::seed_from_u64(5);
-    let info: Vec<u8> = (0..480).map(|_| rng.gen_range(0..2)).collect();
-    let mut coded = code.encode(&info);
-    for b in coded.iter_mut() {
-        if rng.gen::<f64>() < 0.02 {
-            *b ^= 1;
+    // Hard rows at 2 % BER: a 480-bit block, and the 64×64 QPSK stream of
+    // 48 × 14 symbols (666 info + 6 tail bits = 672 trellis steps).
+    for (name, info_len) in [("viterbi_480b", 480), ("viterbi_672b", 666)] {
+        let info: Vec<u8> = (0..info_len).map(|_| rng.gen_range(0..2)).collect();
+        let mut coded = code.encode(&info);
+        for b in coded.iter_mut() {
+            if rng.gen::<f64>() < 0.02 {
+                *b ^= 1;
+            }
         }
+        crit.bench_function(name, |b| b.iter(|| code.decode(&coded, info_len)[0]));
     }
-    crit.bench_function("viterbi_480b", |b| {
-        b.iter(|| code.decode(&coded, info.len())[0])
+    // Soft row: the 4×4 16-QAM stream of 48 × 4 symbols (378 info + 6
+    // tail bits = 384 trellis steps), BPSK LLRs under triangular noise.
+    let info: Vec<u8> = (0..378).map(|_| rng.gen_range(0..2)).collect();
+    let llrs: Vec<f64> = code
+        .encode(&info)
+        .iter()
+        .map(|&bit| {
+            let tx = if bit == 0 { 1.0 } else { -1.0 };
+            2.0 * (tx + rng.gen::<f64>() + rng.gen::<f64>() - 1.0)
+        })
+        .collect();
+    crit.bench_function("viterbi_soft_384b", |b| {
+        b.iter(|| code.decode_soft(&llrs, info.len())[0])
     });
 }
 

@@ -3,9 +3,11 @@
 //! The code is the de-facto wireless standard: constraint length `K = 7`,
 //! rate 1/2, generators `g0 = 133₈`, `g1 = 171₈` (802.11, LTE control
 //! channels, DVB…). Higher rates are obtained by puncturing. Decoding is
-//! hard-decision Viterbi over the 64-state trellis with full traceback,
-//! with punctured positions treated as erasures (zero branch-metric
-//! contribution).
+//! Viterbi over the 64-state trellis with full traceback, with punctured
+//! positions treated as erasures (zero branch-metric contribution). The
+//! hard decoder here and the soft decoder in [`crate::soft`] are two
+//! branch-metric front ends over one kernel: one depuncture, one butterfly
+//! add-compare-select pass and one traceback over packed decision words.
 
 /// Constraint length of the 802.11 code.
 pub const CONSTRAINT: usize = 7;
@@ -15,6 +17,22 @@ pub const STATES: usize = 1 << (CONSTRAINT - 1);
 pub const G0: u32 = 0o133;
 /// Generator polynomial `g1` (octal 171).
 pub const G1: u32 = 0o171;
+
+/// Trellis outputs: `OUTPUTS[state][input]` is the pair of coded bits of
+/// that transition, packed `b0·2 + b1`.
+const OUTPUTS: [[u8; 2]; STATES] = {
+    let mut outputs = [[0u8; 2]; STATES];
+    let mut window = 0;
+    // The shift register holds the K-1 most recent bits; the new bit enters
+    // at the MSB side (bit K-1 of the window), so `window = input·64 + state`.
+    while window < 2 * STATES {
+        let taps = window as u32;
+        let (b0, b1) = ((taps & G0).count_ones() & 1, (taps & G1).count_ones() & 1);
+        outputs[window % STATES][window / STATES] = (b0 << 1 | b1) as u8;
+        window += 1;
+    }
+    outputs
+};
 
 /// Supported puncturing rates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -46,11 +64,7 @@ impl CodeRate {
     /// Puncturing pattern over pairs of rate-1/2 output bits:
     /// `true` = transmit, `false` = puncture. The pattern is indexed as
     /// `[pair][branch]` with branch 0 = g0 output, 1 = g1 output.
-    pub(crate) fn pattern_public(self) -> &'static [[bool; 2]] {
-        self.pattern()
-    }
-
-    fn pattern(self) -> &'static [[bool; 2]] {
+    pub(crate) fn pattern(self) -> &'static [[bool; 2]] {
         match self {
             CodeRate::Half => &[[true, true]],
             // 802.11: period 2 input bits → keep A1 B1 A2 (drop B2).
@@ -65,38 +79,38 @@ impl CodeRate {
 #[derive(Clone, Debug)]
 pub struct ConvCode {
     rate: CodeRate,
-    /// Precomputed outputs: `outputs[state][input] = (bit_g0, bit_g1)`
-    /// packed as a 2-bit value.
-    outputs: Vec<[u8; 2]>,
+}
+
+/// Path metric of the Viterbi kernel: `u32` Hamming distance for hard
+/// decisions, `f64` max-log cost for LLRs.
+pub(crate) trait PathMetric: Copy + PartialOrd + std::ops::Add<Output = Self> {
+    /// Metric of the start state.
+    const ZERO: Self;
+    /// Metric of a state no path reaches yet. It stays above every
+    /// reachable path's metric while the first `K − 1` steps add branch
+    /// costs to it; after those steps every state is reachable.
+    const UNREACHED: Self;
+}
+
+impl PathMetric for u32 {
+    const ZERO: u32 = 0;
+    const UNREACHED: u32 = u32::MAX / 2;
+}
+
+impl PathMetric for f64 {
+    const ZERO: f64 = 0.0;
+    const UNREACHED: f64 = f64::INFINITY;
 }
 
 impl ConvCode {
     /// Builds the code at the given rate.
     pub fn new(rate: CodeRate) -> Self {
-        let mut outputs = vec![[0u8; 2]; STATES];
-        for (state, out) in outputs.iter_mut().enumerate() {
-            for input in 0..2u32 {
-                // The shift register holds the K-1 most recent bits; the new
-                // bit enters at the MSB side (bit K-1 of the window).
-                let window = (input << (CONSTRAINT - 1)) | state as u32;
-                let b0 = (window & G0).count_ones() & 1;
-                let b1 = (window & G1).count_ones() & 1;
-                out[input as usize] = (b0 << 1 | b1) as u8;
-            }
-        }
-        ConvCode { rate, outputs }
+        ConvCode { rate }
     }
 
     /// The configured rate.
     pub fn rate(&self) -> CodeRate {
         self.rate
-    }
-
-    /// The two output bits for a trellis transition, packed `b0·2 + b1`
-    /// (shared by the hard and soft decoders).
-    #[inline]
-    pub(crate) fn output_bits(&self, state: usize, input: usize) -> u8 {
-        self.outputs[state][input]
     }
 
     /// Number of coded bits produced for `info_len` information bits
@@ -124,7 +138,7 @@ impl ConvCode {
             .enumerate()
         {
             debug_assert!(bit <= 1, "encode: bits must be 0/1");
-            let pair = self.outputs[state as usize][bit as usize];
+            let pair = OUTPUTS[state as usize][bit as usize];
             let p = pattern[i % pattern.len()];
             if p[0] {
                 out.push(pair >> 1);
@@ -141,75 +155,78 @@ impl ConvCode {
     ///
     /// `coded` must have exactly `self.coded_len(info_len)` entries.
     /// Returns the maximum-likelihood information sequence under the
-    /// binary-symmetric-channel metric (minimum Hamming distance).
+    /// binary-symmetric-channel metric (minimum Hamming distance). A
+    /// received value of 255 is an erasure, like a punctured position.
     pub fn decode(&self, coded: &[u8], info_len: usize) -> Vec<u8> {
         assert_eq!(
             coded.len(),
             self.coded_len(info_len),
             "decode: wrong coded length"
         );
+        self.viterbi(coded, 255, info_len, |pair| {
+            std::array::from_fn(|out| branch_metric(out as u8, &pair))
+        })
+    }
+
+    /// The Viterbi kernel behind [`ConvCode::decode`] and
+    /// [`ConvCode::decode_soft`].
+    ///
+    /// `received` holds the transmitted coded positions; punctured ones
+    /// read as `erased`. `branch` maps one trellis step's received pair to
+    /// the cost of each output pair `out = b0·2 + b1`, once per step. Next
+    /// state `ns` is reached on input `ns >> 5` from `2j` and `2j + 1`
+    /// (`j = ns & 31`); the odd predecessor survives only on a strictly
+    /// smaller metric. The decisions pack into one `u64` per step, and the
+    /// traceback starts in state 0, where the tail bits end the trellis.
+    pub(crate) fn viterbi<T: Copy, M: PathMetric>(
+        &self,
+        received: &[T],
+        erased: T,
+        info_len: usize,
+        branch: impl Fn([T; 2]) -> [M; 4],
+    ) -> Vec<u8> {
         let pattern = self.rate.pattern();
         let total_in = info_len + (CONSTRAINT - 1);
-        // Depuncture into (bit0, bit1) pairs with erasures (255).
-        let mut pairs: Vec<[u8; 2]> = Vec::with_capacity(total_in);
+        let mut decisions = vec![0u64; total_in];
+        let mut decoded = vec![0u8; info_len];
+        // flexcore-lint: hot-path
+        // flexcore-lint: bit-identity
+        let mut metric = [M::UNREACHED; STATES];
+        metric[0] = M::ZERO; // encoder starts in state 0
         let mut pos = 0usize;
-        for i in 0..total_in {
-            let p = pattern[i % pattern.len()];
-            let b0 = if p[0] {
-                let v = coded[pos];
-                pos += 1;
-                v
-            } else {
-                255
-            };
-            let b1 = if p[1] {
-                let v = coded[pos];
-                pos += 1;
-                v
-            } else {
-                255
-            };
-            pairs.push([b0, b1]);
-        }
-        // Viterbi forward pass.
-        const INF: u32 = u32::MAX / 2;
-        let mut metric = vec![INF; STATES];
-        metric[0] = 0; // encoder starts in state 0
-        let mut survivors: Vec<Vec<u8>> = Vec::with_capacity(total_in);
-        let mut next = vec![INF; STATES];
-        for pair in &pairs {
-            let mut surv = vec![0u8; STATES];
-            next.iter_mut().for_each(|m| *m = INF);
-            for (state, &m) in metric.iter().enumerate() {
-                if m >= INF {
-                    continue;
-                }
-                for input in 0..2usize {
-                    let out = self.outputs[state][input];
-                    let bm = branch_metric(out, pair);
-                    let ns = (state >> 1) | (input << (CONSTRAINT - 2));
-                    let cand = m + bm;
-                    if cand < next[ns] {
-                        next[ns] = cand;
-                        surv[ns] = ((state & 1) << 1 | input) as u8;
-                    }
+        for (i, word) in decisions.iter_mut().enumerate() {
+            let mut pair = [erased; 2];
+            for (rx, &kept) in pair.iter_mut().zip(&pattern[i % pattern.len()]) {
+                if kept {
+                    *rx = received[pos];
+                    pos += 1;
                 }
             }
-            std::mem::swap(&mut metric, &mut next);
-            survivors.push(surv);
+            let bm = branch(pair);
+            let mut next = [M::UNREACHED; STATES];
+            // `& 3` keeps the `bm` index provably in bounds.
+            for j in 0..STATES / 2 {
+                let (even, odd) = (OUTPUTS[2 * j], OUTPUTS[2 * j + 1]);
+                for input in 0..2 {
+                    let ns = j | input << (CONSTRAINT - 2);
+                    let c0 = metric[2 * j] + bm[usize::from(even[input] & 3)];
+                    let c1 = metric[2 * j + 1] + bm[usize::from(odd[input] & 3)];
+                    let take_odd = c1 < c0;
+                    next[ns] = if take_odd { c1 } else { c0 };
+                    *word |= u64::from(take_odd) << ns;
+                }
+            }
+            metric = next;
         }
-        // Traceback from state 0 (tail bits force termination there).
+        // Traceback: the input of state `s` is `s >> 5`; its predecessor
+        // inverts `s = (prev >> 1) | input << (K − 2)`.
         let mut state = 0usize;
-        let mut decoded = vec![0u8; total_in];
-        for t in (0..total_in).rev() {
-            let s = survivors[t][state];
-            let input = (s & 1) as usize;
-            let prev_lsb = ((s >> 1) & 1) as usize;
-            decoded[t] = input as u8;
-            // Invert the state update: state = (prev >> 1) | input<<(K-2).
-            state = ((state << 1) & (STATES - 1)) | prev_lsb;
+        for (t, word) in decisions.iter().enumerate().rev() {
+            if let Some(bit) = decoded.get_mut(t) {
+                *bit = (state >> (CONSTRAINT - 2)) as u8;
+            }
+            state = ((state << 1) & (STATES - 1)) | (word >> state & 1) as usize;
         }
-        decoded.truncate(info_len);
         decoded
     }
 }

@@ -5,8 +5,10 @@
 //! convolutional coding of the 802.11 standard".
 //!
 //! * [`conv`] — the industry-standard K = 7 convolutional code with
-//!   generators (133, 171) octal, a hard-decision Viterbi decoder with full
-//!   traceback, and the 802.11 puncturing patterns for rates 2/3 and 3/4;
+//!   generators (133, 171) octal, the 802.11 puncturing patterns for rates
+//!   2/3 and 3/4, and a hard-decision Viterbi decoder with full traceback;
+//! * [`soft`] — the soft-decision (LLR-input) Viterbi decoder, a second
+//!   branch-metric front end over the same butterfly kernel;
 //! * [`interleave`] — the 802.11a two-permutation block interleaver, which
 //!   spreads adjacent coded bits across subcarriers and constellation bit
 //!   positions so a deep per-subcarrier fade does not erase a run of bits;

@@ -5,9 +5,10 @@
 //! consumes per-bit log-likelihood ratios instead of hard decisions. The
 //! LLR convention is `llr = log(P(bit = 0) / P(bit = 1))`: positive means
 //! "probably 0". Punctured positions carry `llr = 0` (no information) —
-//! the same erasure semantics as the hard decoder.
+//! the same erasure semantics as the hard decoder, whose kernel this
+//! decoder shares with a max-log branch metric.
 
-use crate::conv::{ConvCode, CONSTRAINT, STATES};
+use crate::conv::ConvCode;
 
 /// LLR magnitude clamp: keeps path metrics well-conditioned and mirrors
 /// fixed-point detector outputs.
@@ -22,6 +23,11 @@ impl ConvCode {
     /// `cost(0, llr) = max(−llr, 0)` and `cost(1, llr) = max(llr, 0)`, so
     /// a confident LLR penalises the disagreeing hypothesis by |llr|.
     ///
+    /// Every `f64` is a valid LLR. Magnitudes clamp to [`LLR_CLAMP`], so
+    /// `±∞` and `±1e300` decode as `±LLR_CLAMP`. A `NaN` LLR costs both
+    /// hypotheses 0 (`f64::max` drops the NaN): it is an erasure, exactly
+    /// like `0.0`. No input poisons a path metric.
+    ///
     /// # Panics
     /// Panics if `llrs.len()` differs from the coded length.
     pub fn decode_soft(&self, llrs: &[f64], info_len: usize) -> Vec<u8> {
@@ -30,66 +36,10 @@ impl ConvCode {
             self.coded_len(info_len),
             "decode_soft: wrong LLR count"
         );
-        let total_in = info_len + (CONSTRAINT - 1);
-        // De-puncture into per-branch LLR pairs (0.0 = erasure).
-        let pattern = self.rate().pattern_public();
-        let mut pairs: Vec<[f64; 2]> = Vec::with_capacity(total_in);
-        let mut pos = 0usize;
-        for i in 0..total_in {
-            let p = pattern[i % pattern.len()];
-            let a = if p[0] {
-                let v = llrs[pos].clamp(-LLR_CLAMP, LLR_CLAMP);
-                pos += 1;
-                v
-            } else {
-                0.0
-            };
-            let b = if p[1] {
-                let v = llrs[pos].clamp(-LLR_CLAMP, LLR_CLAMP);
-                pos += 1;
-                v
-            } else {
-                0.0
-            };
-            pairs.push([a, b]);
-        }
-        // Viterbi forward pass with f64 metrics.
-        const INF: f64 = f64::INFINITY;
-        let mut metric = vec![INF; STATES];
-        metric[0] = 0.0;
-        let mut survivors: Vec<Vec<u8>> = Vec::with_capacity(total_in);
-        let mut next = vec![INF; STATES];
-        for pair in &pairs {
-            let mut surv = vec![0u8; STATES];
-            next.iter_mut().for_each(|m| *m = INF);
-            for (state, &m) in metric.iter().enumerate() {
-                if !m.is_finite() {
-                    continue;
-                }
-                for input in 0..2usize {
-                    let out = self.output_bits(state, input);
-                    let bm = branch_cost(out, pair);
-                    let ns = (state >> 1) | (input << (CONSTRAINT - 2));
-                    let cand = m + bm;
-                    if cand < next[ns] {
-                        next[ns] = cand;
-                        surv[ns] = ((state & 1) << 1 | input) as u8;
-                    }
-                }
-            }
-            std::mem::swap(&mut metric, &mut next);
-            survivors.push(surv);
-        }
-        // Traceback from state 0.
-        let mut state = 0usize;
-        let mut decoded = vec![0u8; total_in];
-        for t in (0..total_in).rev() {
-            let s = survivors[t][state];
-            decoded[t] = s & 1;
-            state = ((state << 1) & (STATES - 1)) | ((s >> 1) & 1) as usize;
-        }
-        decoded.truncate(info_len);
-        decoded
+        self.viterbi(llrs, 0.0, info_len, |pair| {
+            let pair = pair.map(|llr| llr.clamp(-LLR_CLAMP, LLR_CLAMP));
+            std::array::from_fn(|out| branch_cost(out as u8, &pair))
+        })
     }
 }
 
@@ -193,6 +143,48 @@ mod tests {
         let info = random_bits(90, 4);
         let coded = code.encode(&info);
         assert_eq!(code.decode_soft(&hard_to_llr(&coded), info.len()), info);
+    }
+
+    #[test]
+    fn non_finite_llrs_have_a_defined_outcome() {
+        // NaN is an erasure (same bits as 0.0), ±∞ and ±1e300 clamp to
+        // ±LLR_CLAMP, and no LLR value panics.
+        for rate in [CodeRate::Half, CodeRate::TwoThirds, CodeRate::ThreeQuarters] {
+            let code = ConvCode::new(rate);
+            let info = random_bits(96, 5);
+            let coded = code.encode(&info);
+            let mut rng = StdRng::seed_from_u64(6);
+            let llrs: Vec<f64> = hard_to_llr(&coded)
+                .iter()
+                .map(|&l| l * rng.gen_range(0.02..0.2))
+                .collect();
+            // Every fifth LLR replaced by `f(llr)`.
+            let with = |f: &dyn Fn(f64) -> f64| {
+                let v: Vec<f64> = (0..llrs.len())
+                    .map(|i| if i % 5 == 2 { f(llrs[i]) } else { llrs[i] })
+                    .collect();
+                code.decode_soft(&v, info.len())
+            };
+            assert_eq!(with(&|_| f64::NAN), with(&|_| 0.0), "{rate:?} NaN");
+            let (inf, clamp) = (f64::INFINITY, LLR_CLAMP);
+            assert_eq!(with(&|l| inf.copysign(l)), info, "{rate:?} right ±inf");
+            assert_eq!(
+                with(&|l| inf.copysign(-l)),
+                with(&|l| clamp.copysign(-l)),
+                "{rate:?} wrong ±inf"
+            );
+            assert_eq!(
+                with(&|l| 1e300_f64.copysign(-l)),
+                with(&|l| clamp.copysign(-l)),
+                "{rate:?} wrong ±1e300"
+            );
+            // All-erased input: every path ties, the even predecessor
+            // wins each decision, and the result is the all-zero word.
+            let nan = vec![f64::NAN; llrs.len()];
+            assert_eq!(code.decode_soft(&nan, info.len()), vec![0u8; info.len()]);
+            let all_inf = vec![f64::INFINITY; llrs.len()];
+            assert_eq!(code.decode_soft(&all_inf, info.len()).len(), info.len());
+        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! Allocation-regression guard for the detection hot path.
+//! Allocation-regression guard for the detection hot path and the
+//! Viterbi decoders that follow it.
 //!
 //! The spill-capable `SymVec` must not tax the paper-regime (nt ≤ 16)
 //! kernels: after `prepare()`, a warmed path evaluation touches the heap
 //! zero times, exactly as the fixed-capacity storage guaranteed. Beyond
 //! the inline bound the contract weakens only to *steady state*: once a
 //! scratch has seen the width, further evaluations are allocation-free
-//! because `reset`/`clone_from` reuse the spill buffers.
+//! because `reset`/`clone_from` reuse the spill buffers. A Viterbi decode
+//! makes the same small number of allocations at every block length.
 //!
 //! This binary installs a counting global allocator, so everything runs
 //! inside the single `#[test]` below — libtest would otherwise run tests
@@ -13,6 +15,8 @@
 
 use flexcore::{FlexCoreDetector, PathScratch};
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, MimoChannel};
+use flexcore_coding::soft::hard_to_llr;
+use flexcore_coding::{CodeRate, ConvCode};
 use flexcore_detect::common::Detector;
 use flexcore_detect::FcsdDetector;
 use flexcore_modulation::{Constellation, Modulation};
@@ -210,6 +214,30 @@ fn hot_path_allocation_budget() {
         );
     }
 
+    // --- Viterbi decoders: a per-call count independent of length -------
+    // The packed decision words and the decoded bits are one buffer each,
+    // allocated before the add-compare-select loop; a 2000-bit block costs
+    // the same two allocations as a 64-bit one, at every rate.
+    for rate in [CodeRate::Half, CodeRate::TwoThirds, CodeRate::ThreeQuarters] {
+        let code = ConvCode::new(rate);
+        let mut rng = StdRng::seed_from_u64(400);
+        for info_len in [64usize, 2000] {
+            let info: Vec<u8> = (0..info_len).map(|_| rng.gen_range(0..2u8)).collect();
+            let coded = code.encode(&info);
+            let llrs = hard_to_llr(&coded);
+            let hard = allocs_in(|| drop(code.decode(&coded, info_len)));
+            let soft = allocs_in(|| drop(code.decode_soft(&llrs, info_len)));
+            assert_eq!(
+                hard, 2,
+                "{rate:?} decode allocated {hard} at {info_len} bits"
+            );
+            assert_eq!(
+                soft, 2,
+                "{rate:?} decode_soft allocated {soft} at {info_len} bits"
+            );
+        }
+    }
+
     // --- Discipline coverage: lint regions match the measured surface ----
     // Everything this counting-allocator test just exercised must sit
     // inside a `// flexcore-lint: hot-path` region, so FL001 statically
@@ -226,6 +254,7 @@ fn hot_path_allocation_budget() {
             "crates/detect/src/common.rs",  // Triangular::rotate_into, PathScratch
             "crates/core/src/detector.rs",  // FlexCore run_path_into / trie walk
             "crates/detect/src/fcsd.rs",    // FCSD run_path_into
+            "crates/coding/src/conv.rs",    // the shared Viterbi kernel
         ] {
             assert!(
                 marked.iter().any(|m| m == exercised),
