@@ -14,9 +14,10 @@
 //!   ARM cores (the heterogeneous case the uniform-machines LPT scheduler
 //!   exists for).
 //!
-//! Every cell runs the real frame engine
-//! (`FrameEngine::detect_frame_on_fabric`) on a `WeightedPool` mirroring
-//! the fabric, pricing batches at `Detector::extension_work() × PeCost` (the fine-grained effort signal). Before
+//! Every cell runs the real frame engine (`FrameEngine::detect_frame`) on
+//! a `WeightedPool` mirroring the fabric, which places batches priced at
+//! `Detector::extension_work() × symbols` (the fine-grained effort signal)
+//! and audits the placement (`WeightedPool::last_audit`). Before
 //! any timing, an identity gate asserts the fabric-scheduled detections
 //! bit-identical to the sequential reference (`assert_grid_identity`) —
 //! heterogeneous placement is placement only. The timed frames then audit
@@ -32,13 +33,11 @@
 use flexcore::CellDetector;
 use flexcore_bench::{assert_grid_identity, GridView};
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble};
-use flexcore_engine::{pool_for, FabricStats, FrameChannel, FrameEngine, RxFrame};
-use flexcore_hwmodel::{
-    CpuModel, EngineKind, FpgaModel, GpuModel, HeterogeneousFabric, PeCost, WorkUnit,
-};
+use flexcore_engine::{FrameChannel, FrameEngine, RxFrame};
+use flexcore_hwmodel::{CpuModel, EngineKind, FpgaModel, GpuModel, HeterogeneousFabric, PeCost};
 use flexcore_modulation::{Constellation, Modulation};
 use flexcore_numeric::{rng::CxRng, Cx};
-use flexcore_parallel::SequentialPool;
+use flexcore_parallel::{FabricStats, SequentialPool, WeightedPool};
 use flexcore_sim::hardware::{hardware_table, modelled_throughput_mbps, HwMeasurement};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -107,25 +106,23 @@ struct CellResult {
 
 /// Runs one (nt, detector, fabric) cell: identity gate first, then the
 /// timed frames whose fabric audits feed the table row.
-fn run_cell<C: PeCost>(
+fn run_cell(
     nt: usize,
     adaptive: bool,
     fabric: &HeterogeneousFabric,
-    cost: &C,
     n_sc: usize,
     n_sym: usize,
     n_frames: usize,
 ) -> CellResult {
-    let work = WorkUnit::new(nt, c16().order());
     let channel = selective_channel(nt, n_sc, SEED + nt as u64);
     let mut engine = FrameEngine::new(template(adaptive));
     engine.prepare(&channel);
-    let pool = pool_for(fabric);
+    let pool = WeightedPool::new(fabric.speed_factors());
 
     // Identity gate: fabric scheduling must be placement only.
     let gate_frame = random_frame(&channel, nt, n_sym, SEED + 7 * nt as u64);
     let reference = engine.detect_frame(&gate_frame, &SequentialPool::new(1));
-    let fabric_out = engine.detect_frame_on_fabric(&gate_frame, &pool, cost, &work);
+    let fabric_out = engine.detect_frame(&gate_frame, &pool);
     assert_grid_identity(
         &format!(
             "hwtables identity ({}x{nt}, {}, {} fabric)",
@@ -155,11 +152,11 @@ fn run_cell<C: PeCost>(
     // neighbour usually does not.
     let mut audits: Vec<FabricStats> = Vec::new();
     for attempt in 0..2 {
-        engine.detect_frame_on_fabric(&frames[0], &pool, cost, &work); // warmup
+        engine.detect_frame(&frames[0], &pool); // warmup
         audits.clear();
         for frame in &frames[1..] {
-            engine.detect_frame_on_fabric(frame, &pool, cost, &work);
-            audits.push(engine.stats().fabric.expect("fabric audit recorded"));
+            engine.detect_frame(frame, &pool);
+            audits.push(pool.last_audit().expect("fabric audit recorded"));
         }
         audits.sort_by(|a, b| {
             a.makespan_error
@@ -245,7 +242,7 @@ fn sweep_fabric<C: PeCost>(
     let mut results: Vec<CellResult> = Vec::new();
     for &nt in nts {
         for adaptive in [false, true] {
-            results.push(run_cell(nt, adaptive, fabric, cost, n_sc, n_sym, n_frames));
+            results.push(run_cell(nt, adaptive, fabric, n_sc, n_sym, n_frames));
         }
     }
     let measurements: Vec<HwMeasurement> = results.iter().map(|r| r.measurement.clone()).collect();

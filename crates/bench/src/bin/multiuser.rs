@@ -29,13 +29,14 @@ use flexcore_bench::{assert_grid_identity, GridView};
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, GaussMarkovChannel};
 use flexcore_engine::{ChannelStream, RxFrame, StreamingCell};
 use flexcore_modulation::{Constellation, Modulation};
-use flexcore_parallel::SequentialPool;
+use flexcore_parallel::{lpt_makespan, PePool, SequentialPool, WorkStats};
 use flexcore_phy::link::{cell_packet_tick, LinkConfig};
 use flexcore_phy::soft_link::cell_packet_tick_soft;
 use flexcore_phy::throughput::GoodputMeter;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
+use std::sync::Mutex;
 use std::time::Instant;
 
 const NT: usize = 4;
@@ -170,13 +171,62 @@ struct RunResult {
     pool_efficiency: f64,
 }
 
+/// A [`SequentialPool`] that keeps the batch costs of its latest priced run,
+/// so the packing efficiency of the last tick can be read after timing.
+struct CostProbe {
+    inner: SequentialPool,
+    last_costs: Mutex<Vec<u64>>,
+}
+
+impl CostProbe {
+    fn new(n_pes: usize) -> Self {
+        CostProbe {
+            inner: SequentialPool::new(n_pes),
+            last_costs: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Total batch cost over `n_pes` × LPT makespan of the latest priced
+    /// run (1 when it had no work).
+    fn packing_efficiency(&self) -> f64 {
+        let costs = self.last_costs.lock().expect("cost log poisoned");
+        let span = lpt_makespan(&costs, self.inner.n_pes());
+        if span == 0 {
+            return 1.0;
+        }
+        costs.iter().sum::<u64>() as f64 / (self.inner.n_pes() as u64 * span) as f64
+    }
+}
+
+impl PePool for CostProbe {
+    fn n_pes(&self) -> usize {
+        self.inner.n_pes()
+    }
+
+    fn run<T: Send, F: FnOnce() -> T + Send>(&self, tasks: Vec<F>) -> Vec<T> {
+        self.inner.run(tasks)
+    }
+
+    fn run_priced<T: Send, F: FnOnce() -> T + Send>(&self, tasks: Vec<F>, costs: &[u64]) -> Vec<T> {
+        let mut last = self.last_costs.lock().expect("cost log poisoned");
+        last.clear();
+        last.extend_from_slice(costs);
+        drop(last);
+        self.inner.run_priced(tasks, costs)
+    }
+
+    fn stats(&self) -> &WorkStats {
+        self.inner.stats()
+    }
+}
+
 /// One timed serving run: `n_ticks` ticks of one-packet-per-user traffic.
 fn run_cell(n_users: usize, adaptive: bool, soft: bool, snr_db: f64, n_ticks: usize) -> RunResult {
     let cfg = LinkConfig::paper_default(c16(), PAYLOAD_BYTES);
     let mut cell = build_cell(n_users, adaptive, snr_db);
     let mut rngs = user_rngs(n_users);
     let mut meter = GoodputMeter::new(n_users, PAYLOAD_BYTES);
-    let pool = SequentialPool::new(TOTAL_PES);
+    let pool = CostProbe::new(TOTAL_PES);
     let t0 = Instant::now();
     for _ in 0..n_ticks {
         let outcomes = if soft {
@@ -207,7 +257,7 @@ fn run_cell(n_users: usize, adaptive: bool, soft: bool, snr_db: f64, n_ticks: us
         min_frames_behind: stats.min_frames_behind,
         max_frames_behind: stats.max_frames_behind,
         mean_effort,
-        pool_efficiency: stats.last_tick_efficiency,
+        pool_efficiency: pool.packing_efficiency(),
     }
 }
 
@@ -367,7 +417,7 @@ fn main() {
          1/refresh_period of its estimates, transmits one convolutionally-coded packet per \
          stream through the truth channels, and all users' (subcarrier x symbol) grids are \
          detected against the (stale) estimates in ONE shared PE-pool run, LPT-ordered across \
-         users by prepared per-subcarrier effort; each user's chain then finishes with \
+         users by prepared per-subcarrier extension work; each user's chain then finishes with \
          deinterleave -> (soft) Viterbi -> CRC-32. frames_per_sec is wall-clock over the full \
          chain (transmit + detect + decode) on the single-core host at a matched modelled PE \
          budget, so the aggregate stays roughly flat while per-user rate divides by U. \
@@ -377,8 +427,8 @@ fn main() {
          min/max are per \
          user (submitted - completed): the barrier tick serves every user each round, so both \
          stay 0 -- the fairness invariant the cell's accounting would expose if scheduling \
-         ever starved a user. pool_efficiency is total batch cost over n_pes x LPT makespan \
-         of the last tick. Identity gate (assert_grid_identity) runs before any timing.\"\n",
+         ever starved a user. pool_efficiency is total batch extension work over n_pes x LPT \
+         makespan of the last tick. Identity gate (assert_grid_identity) runs before any timing.\"\n",
     );
     json.push_str("}\n");
 

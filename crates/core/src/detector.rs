@@ -1458,7 +1458,8 @@ mod tests {
                 })
                 .collect();
             let per_vector: Vec<Vec<usize>> = ys.iter().map(|y| fc.detect(y)).collect();
-            assert_eq!(fc.detect_batch(&ys), per_vector, "batch of {n_obs}");
+            let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
+            assert_eq!(fc.detect_batch_refs(&refs), per_vector, "batch of {n_obs}");
         }
     }
 

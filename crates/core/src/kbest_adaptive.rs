@@ -280,7 +280,6 @@ mod tests {
         let per_vector: Vec<Vec<usize>> = ys.iter().map(|y| det.detect(y)).collect();
         let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
         assert_eq!(det.detect_batch_refs(&refs), per_vector);
-        assert_eq!(det.detect_batch(&ys), per_vector);
     }
 
     #[test]

@@ -31,27 +31,17 @@ pub trait Detector {
     /// Detects a batch of received vectors observed under the **same**
     /// prepared channel — e.g. every OFDM symbol of one subcarrier in a
     /// frame — amortising the per-channel pre-processing exactly as §3 of
-    /// the paper prescribes.
+    /// the paper prescribes. The vectors are borrowed slices: the frame
+    /// engine's flat frame plane lends each one as a `&[Cx]` without
+    /// cloning.
     ///
     /// The contract is strict: the result must be **bit-identical** to
     /// `ys.iter().map(|y| self.detect(y))`, whatever the implementation
     /// does internally (the frame engine and its substrate-equivalence
-    /// tests rely on this). This method only adapts the owned-vector shape;
-    /// override [`Detector::detect_batch_refs`] to hoist per-batch work.
-    fn detect_batch(&self, ys: &[Vec<Cx>]) -> Vec<Vec<usize>> {
-        let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
-        self.detect_batch_refs(&refs)
-    }
-
-    /// Borrowed-slice batch detection — the shape the frame engine feeds
-    /// (its flat frame plane lends each received vector as a `&[Cx]`
-    /// without cloning).
-    ///
-    /// Same strict contract as [`Detector::detect_batch`]: results must be
-    /// bit-identical to per-vector [`Detector::detect`]. Implementations
-    /// override this (not `detect_batch`) to reuse one scratch workspace
-    /// across the whole batch, exactly as a hardware PE streams
-    /// back-to-back subcarrier symbols through one set of registers.
+    /// tests rely on this). Implementations override this to reuse one
+    /// scratch workspace across the whole batch, exactly as a hardware PE
+    /// streams back-to-back subcarrier symbols through one set of
+    /// registers.
     fn detect_batch_refs(&self, ys: &[&[Cx]]) -> Vec<Vec<usize>> {
         ys.iter().map(|y| self.detect(y)).collect()
     }

@@ -1,15 +1,12 @@
 //! The frame engine: prepared-detector cache + grid scheduling.
 
 use crate::channel::FrameChannel;
-use crate::fabric::FabricStats;
 use crate::frame::{DetectedFrame, RxFrame};
 use flexcore_detect::common::Detector;
-use flexcore_hwmodel::{PeCost, WorkUnit};
 use flexcore_numeric::Cx;
-use flexcore_parallel::{lpt_order, PePool, WeightedPool};
+use flexcore_parallel::PePool;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Snapshot of an engine's cumulative work counters plus the current
 /// per-subcarrier effort profile.
@@ -38,11 +35,6 @@ pub struct EngineStats {
     /// over the prepared subcarriers. A clean channel piles the mass on
     /// small efforts; a crowded one spreads it toward the PE budget.
     pub effort_histogram: Vec<(usize, u64)>,
-    /// Audit record of the most recent fabric-scheduled run
-    /// ([`FrameEngine::process_frame_on_fabric`]): predicted-vs-measured
-    /// makespan, packing efficiency and per-PE utilisation. `None` until a
-    /// fabric run happens.
-    pub fabric: Option<FabricStats>,
 }
 
 impl EngineStats {
@@ -56,50 +48,113 @@ impl EngineStats {
     }
 }
 
-/// Splits an `n_sc × n_sym` grid into `(subcarrier, symbol-range)` batches
-/// aiming for `task_target` tasks in total: every subcarrier contributes
-/// the same number of contiguous symbol chunks (≥ 1, ≤ `n_sym`). This is
-/// the one batch geometry every scheduling path shares — single-frame
-/// plans, multi-user ticks, and the pipelined cell all split through here,
-/// which is what keeps their detections bit-identical (identical batches →
-/// identical scratch-reuse sequences per batch).
-pub(crate) fn split_grid_batches(
-    n_sc: usize,
-    n_sym: usize,
-    task_target: usize,
-) -> Vec<(usize, usize, usize)> {
-    let tasks_per_sc = task_target.div_ceil(n_sc.max(1)).clamp(1, n_sym.max(1));
-    let chunk = n_sym.div_ceil(tasks_per_sc).max(1);
-    let mut batches = Vec::with_capacity(n_sc * tasks_per_sc);
-    for sc in 0..n_sc {
-        let mut from = 0;
-        while from < n_sym {
-            let to = (from + chunk).min(n_sym);
-            batches.push((sc, from, to));
-            from = to;
+/// One batch of a pool run: `(frame index, subcarrier, symbol range)`.
+type Batch = (usize, usize, usize, usize);
+
+/// Splits every frame of one pool run into `(frame, subcarrier,
+/// symbol-range)` batches and prices each at `work(frame, subcarrier) ×
+/// symbols` — the one batch geometry and the one cost signal every
+/// scheduling path shares (single frames, multi-user ticks, the pipelined
+/// cell and the city's modelled-time pricing), which is what keeps their
+/// detections bit-identical (identical batches → identical scratch-reuse
+/// sequences per batch) and their predictions consistent.
+///
+/// One shared `2 × n_pes` task target is divided across the frames, so a
+/// run stays at a few tasks per PE whatever the frame count; every
+/// subcarrier of a frame contributes the same number of contiguous symbol
+/// chunks (≥ 1, ≤ `n_sym`). `work` is the subcarrier's prepared
+/// [`Detector::extension_work`]: the fabric audit's makespan gate and the
+/// city's pricing are calibrated against it.
+pub(crate) fn plan_batches(
+    frames: &[&RxFrame],
+    n_pes: usize,
+    work: impl Fn(usize, usize) -> usize,
+) -> (Vec<Batch>, Vec<u64>) {
+    let target = (2 * n_pes).div_ceil(frames.len().max(1));
+    let mut batches = Vec::new();
+    for (e, frame) in frames.iter().enumerate() {
+        let (n_sc, n_sym) = (frame.n_subcarriers(), frame.n_symbols());
+        let tasks_per_sc = target.div_ceil(n_sc.max(1)).clamp(1, n_sym.max(1));
+        let chunk = n_sym.div_ceil(tasks_per_sc).max(1);
+        for sc in 0..n_sc {
+            let mut from = 0;
+            while from < n_sym {
+                let to = (from + chunk).min(n_sym);
+                batches.push((e, sc, from, to));
+                from = to;
+            }
         }
     }
-    batches
+    let costs = batches
+        .iter()
+        .map(|&(e, sc, from, to)| work(e, sc) as u64 * (to - from) as u64)
+        .collect();
+    (batches, costs)
 }
 
-/// Scatters per-batch outputs back to symbol-major grid order — the
-/// inverse of the batch split, shared by every scheduling path so
-/// reordering can never leak into results.
-pub(crate) fn scatter_grid<T>(
-    n_sc: usize,
-    n_vectors: usize,
-    batches: &[(usize, usize, usize)],
-    per_batch: Vec<Vec<T>>,
-) -> Vec<T> {
-    let mut grid: Vec<Option<T>> = (0..n_vectors).map(|_| None).collect();
-    for (&(sc, from, _), outputs) in batches.iter().zip(per_batch) {
-        for (offset, value) in outputs.into_iter().enumerate() {
-            grid[(from + offset) * n_sc + sc] = Some(value);
+/// Runs `f` over every planned batch of `frames` in one priced pool run
+/// ([`PePool::run_priced`]) and scatters the per-vector outputs back into
+/// one symbol-major grid per frame.
+///
+/// `slot(frame, subcarrier)` supplies the prepared detector a batch runs
+/// against and its extension work; `f` receives the frame index, that
+/// detector, the subcarrier and the borrowed batch of received vectors,
+/// and must return one output per vector. Placement is the pool's
+/// business and scatter is by grid position, so results never depend on
+/// the pool.
+pub(crate) fn run_frames<'a, D, P, T, S, F>(
+    pool: &P,
+    frames: &[&'a RxFrame],
+    slot: S,
+    f: F,
+) -> Vec<Vec<T>>
+where
+    D: Sync + 'a,
+    P: PePool,
+    T: Send,
+    S: Fn(usize, usize) -> (&'a D, usize),
+    F: Fn(usize, &D, usize, &[&[Cx]]) -> Vec<T> + Sync,
+{
+    let (batches, costs) = plan_batches(frames, pool.n_pes(), |e, sc| slot(e, sc).1);
+    let f = &f;
+    let tasks: Vec<_> = batches
+        .iter()
+        .map(|&(e, sc, from, to)| {
+            let frame = frames[e];
+            let det = slot(e, sc).0;
+            move || {
+                let ys = frame.column_chunk(sc, from, to);
+                let out = f(e, det, sc, &ys);
+                assert_eq!(out.len(), to - from, "batch output count mismatch");
+                out
+            }
+        })
+        .collect();
+    let per_batch = pool.run_priced(tasks, &costs);
+
+    let mut grids: Vec<Vec<Option<T>>> = frames
+        .iter()
+        .map(|frame| (0..frame.n_vectors()).map(|_| None).collect())
+        .collect();
+    {
+        // flexcore-lint: hot-path
+        // Scatter by grid position into the preallocated grids — the
+        // ordering-erasing step that makes placement invisible downstream.
+        for (&(e, sc, from, _), outputs) in batches.iter().zip(per_batch) {
+            let n_sc = frames[e].n_subcarriers();
+            for (offset, value) in outputs.into_iter().enumerate() {
+                grids[e][(from + offset) * n_sc + sc] = Some(value);
+            }
         }
     }
-    grid.into_iter()
-        // flexcore-lint: allow(FL004, reason = "the batches tile the frame exactly (every (subcarrier, vector) cell belongs to exactly one batch), so every slot was filled above")
-        .map(|v| v.expect("frame cell never produced"))
+    grids
+        .into_iter()
+        .map(|grid| {
+            grid.into_iter()
+                // flexcore-lint: allow(FL004, reason = "the batches tile each frame's grid exactly (plan_batches), so every cell was produced above")
+                .map(|v| v.expect("frame cell never produced"))
+                .collect()
+        })
         .collect()
 }
 
@@ -108,10 +163,10 @@ struct Slot<D> {
     channel_id: u64,
     generation: u64,
     /// [`Detector::effort`] captured right after preparation — the
-    /// scheduling weight of this subcarrier's symbol batches.
+    /// effort profile [`EngineStats`] reports.
     effort: usize,
     /// [`Detector::extension_work`] captured right after preparation —
-    /// the fine-grained cost the fabric scheduler prices batches with
+    /// the cost every pool run prices this subcarrier's batches with
     /// (equal efforts can hide severalfold work differences).
     extension_work: usize,
     /// The engine's tune epoch when this slot was last prepared or
@@ -137,9 +192,9 @@ struct Slot<D> {
 /// The engine is also **load-aware**: preparation captures each
 /// subcarrier's [`Detector::effort`] (for a-FlexCore, the PEs its stopping
 /// criterion activates — §5.1's adjustable FlexCore, lifted to the frame
-/// grid), aggregates the profile into [`EngineStats`], and orders symbol
-/// batches longest-processing-time-first so cheap near-SIC subcarriers
-/// never pad out the critical path behind the crowded ones.
+/// grid) into the [`EngineStats`] profile, and its
+/// [`Detector::extension_work`] as the price of its symbol batches, so the
+/// pool can run cheap near-SIC subcarriers after the crowded ones.
 pub struct FrameEngine<D> {
     template: D,
     slots: Vec<Option<Slot<D>>>,
@@ -147,7 +202,6 @@ pub struct FrameEngine<D> {
     vectors: AtomicU64,
     prepare_runs: AtomicU64,
     subcarriers_refreshed: AtomicU64,
-    fabric: Mutex<Option<FabricStats>>,
     tune_epoch: u64,
 }
 
@@ -162,7 +216,6 @@ impl<D: Detector + Clone + Sync> FrameEngine<D> {
             vectors: AtomicU64::new(0),
             prepare_runs: AtomicU64::new(0),
             subcarriers_refreshed: AtomicU64::new(0),
-            fabric: Mutex::new(None),
             tune_epoch: 0,
         }
     }
@@ -185,30 +238,14 @@ impl<D: Detector + Clone + Sync> FrameEngine<D> {
             prepared_subcarriers: prepared,
             effort_total,
             effort_histogram: histogram.into_iter().collect(),
-            // A panic while holding the stats lock only poisons
-            // bookkeeping, never detector state — recover the inner value.
-            fabric: self
-                .fabric
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .clone(),
         }
     }
 
     /// The scheduling weight of one subcarrier: its prepared detector's
-    /// [`Detector::effort`], or 1 while unprepared.
-    pub fn slot_effort(&self, subcarrier: usize) -> usize {
-        self.slots
-            .get(subcarrier)
-            .and_then(Option::as_ref)
-            .map_or(1, |slot| slot.effort)
-    }
-
-    /// The fabric-scheduling weight of one subcarrier: its prepared
-    /// detector's [`Detector::extension_work`], or 1 while unprepared —
-    /// public so serving layers (the city simulation's admission and load
-    /// calibration) can price a user's frames in the same units the fabric
-    /// scheduler plans in.
+    /// [`Detector::extension_work`], or 1 while unprepared — public so
+    /// serving layers (the city simulation's admission and load
+    /// calibration) can price a user's frames in the same units every pool
+    /// run is planned in.
     pub fn slot_extension_work(&self, subcarrier: usize) -> usize {
         self.slots
             .get(subcarrier)
@@ -299,7 +336,7 @@ impl<D: Detector + Clone + Sync> FrameEngine<D> {
     /// `FlexCoreDetector::retune_threshold`: a prefix re-truncation of the
     /// already-searched path selection, no QR and no tree search). `f`
     /// returns whether it changed the detector's active configuration;
-    /// changed slots have their effort / extension-work scheduling weights
+    /// changed slots have their effort and extension work
     /// recaptured and their tune stamp bumped, so snapshot consumers (the
     /// pipelined cell) notice exactly like a channel refresh. Returns how
     /// many prepared subcarriers changed.
@@ -362,52 +399,9 @@ impl<D: Detector + Clone + Sync> FrameEngine<D> {
             .map(|slot| (slot.channel_id, slot.generation, slot.tune_stamp))
     }
 
-    /// Splits the frame's grid into `(subcarrier, symbol-range)` batches —
-    /// every subcarrier contributes `tasks_per_sc` contiguous symbol
-    /// chunks, sized so the pool sees a few tasks per PE even on narrow
-    /// frames — and orders them longest-processing-time-first by each
-    /// batch's estimated cost (subcarrier effort × symbols).
-    ///
-    /// Under a channel-adaptive template the per-subcarrier costs are
-    /// wildly unequal (a near-SIC subcarrier costs ~1 path-walk per symbol,
-    /// a crowded one the full PE budget); LPT keeps the expensive batches
-    /// off the work queue's tail so they can't pad out the critical path.
-    /// Ordering only: [`FrameEngine::process_frame`] scatters results by
-    /// grid position, so outputs are unchanged.
-    pub(crate) fn plan(&self, frame: &RxFrame, n_pes: usize) -> Vec<(usize, usize, usize)> {
-        let batches = self.plan_batches(frame, n_pes);
-        let costs: Vec<u64> = batches
-            .iter()
-            .map(|&(sc, from, to)| self.slot_effort(sc) as u64 * (to - from) as u64)
-            .collect();
-        lpt_order(&costs).into_iter().map(|i| batches[i]).collect()
-    }
-
-    /// The unordered batch split behind [`FrameEngine::plan`]. The
-    /// multi-user cell consumes this directly: it concatenates every
-    /// served user's batches and LPT-orders the whole list once, so a
-    /// per-engine pre-sort would be wasted work.
-    pub(crate) fn plan_batches(&self, frame: &RxFrame, n_pes: usize) -> Vec<(usize, usize, usize)> {
-        // Aim for ≥ 2 tasks per PE so the work queue can balance unequal
-        // batch costs, without slicing symbols thinner than needed.
-        self.plan_batches_with_target(frame, 2 * n_pes)
-    }
-
-    /// [`FrameEngine::plan_batches`] with an explicit task-count target
-    /// instead of a PE count. The multi-user cell divides one shared
-    /// `2 × n_pes` target across its served users so the per-tick task
-    /// count stays bounded by the pool, not by the user count.
-    pub(crate) fn plan_batches_with_target(
-        &self,
-        frame: &RxFrame,
-        task_target: usize,
-    ) -> Vec<(usize, usize, usize)> {
-        split_grid_batches(frame.n_subcarriers(), frame.n_symbols(), task_target)
-    }
-
-    /// Credits one externally scheduled frame of `n_vectors` vectors to
-    /// this engine's counters — the multi-user cell detects many users'
-    /// frames in one shared pool run, then books each user's share here so
+    /// Credits one detected frame of `n_vectors` vectors to this engine's
+    /// counters — the multi-user cells detect many users' frames in one
+    /// shared pool run, then book each user's share here so
     /// [`FrameEngine::stats`] stays truthful per user.
     pub(crate) fn record_frame(&self, n_vectors: usize) {
         self.frames.fetch_add(1, Ordering::Relaxed);
@@ -426,6 +420,14 @@ impl<D: Detector + Clone + Sync> FrameEngine<D> {
     /// its whole symbol batch — and the soft-output uplink streams LLRs
     /// through it.
     ///
+    /// Batches are priced at [`Detector::extension_work`]` × symbols` and
+    /// handed to [`PePool::run_priced`]: identical-PE pools run them
+    /// longest-first, so cheap near-SIC subcarriers never pad out the
+    /// critical path behind the crowded ones, and a
+    /// [`WeightedPool`](flexcore_parallel::WeightedPool) places them on its
+    /// non-uniform PEs and audits the prediction. Placement never touches
+    /// results.
+    ///
     /// # Panics
     /// Panics if a subcarrier of `frame` was never prepared, or if `f`
     /// returns the wrong number of outputs for a batch.
@@ -442,111 +444,14 @@ impl<D: Detector + Clone + Sync> FrameEngine<D> {
             "FrameEngine: frame has {n_sc} subcarriers, engine prepared {}",
             self.slots.len()
         );
-        let batches = self.plan(frame, pool.n_pes());
-        let f = &f;
-        let tasks: Vec<_> = batches
-            .iter()
-            .map(|&(sc, from, to)| {
-                let det = self.detector(sc);
-                move || {
-                    let ys = frame.column_chunk(sc, from, to);
-                    let out = f(det, sc, &ys);
-                    assert_eq!(out.len(), to - from, "batch output count mismatch");
-                    out
-                }
-            })
-            .collect();
-        let per_batch = pool.run(tasks);
-        self.frames.fetch_add(1, Ordering::Relaxed);
-        self.vectors
-            .fetch_add(frame.n_vectors() as u64, Ordering::Relaxed);
-        scatter_grid(n_sc, frame.n_vectors(), &batches, per_batch)
-    }
-
-    /// [`FrameEngine::process_frame`] on a heterogeneous fabric: batches
-    /// are priced at [`Detector::extension_work`]` × symbols` work units
-    /// (the fine-grained companion of the effort profile — equal path
-    /// counts can hide severalfold trie-walk differences), placed onto
-    /// the [`WeightedPool`]'s non-uniform PEs with the uniform-machines
-    /// LPT rule (most expensive first, each batch to the PE that finishes
-    /// it earliest), and timed. The audit record — predicted-vs-measured
-    /// makespan under `cost`'s pricing, packing efficiency, per-PE
-    /// utilisation — lands in [`EngineStats::fabric`].
-    ///
-    /// Placement and pricing never touch results: outputs are
-    /// bit-identical to [`FrameEngine::process_frame`] on any pool.
-    ///
-    /// # Panics
-    /// Panics if a subcarrier of `frame` was never prepared, or if `f`
-    /// returns the wrong number of outputs for a batch.
-    pub fn process_frame_on_fabric<C, T, F>(
-        &self,
-        frame: &RxFrame,
-        pool: &WeightedPool,
-        cost: &C,
-        work: &WorkUnit,
-        f: F,
-    ) -> Vec<T>
-    where
-        C: PeCost,
-        T: Send,
-        F: Fn(&D, usize, &[&[Cx]]) -> Vec<T> + Sync,
-    {
-        let n_sc = frame.n_subcarriers();
-        assert_eq!(
-            n_sc,
-            self.slots.len(),
-            "FrameEngine: frame has {n_sc} subcarriers, engine prepared {}",
-            self.slots.len()
+        let mut grids = run_frames(
+            pool,
+            &[frame],
+            |_, sc| (self.detector(sc), self.slot_extension_work(sc)),
+            |_, det, sc, ys| f(det, sc, ys),
         );
-        let batches = self.plan_batches(frame, pool.n_pes());
-        let costs: Vec<u64> = batches
-            .iter()
-            .map(|&(sc, from, to)| self.slot_extension_work(sc) as u64 * (to - from) as u64)
-            .collect();
-        let f = &f;
-        let tasks: Vec<_> = batches
-            .iter()
-            .map(|&(sc, from, to)| {
-                let det = self.detector(sc);
-                move || {
-                    let ys = frame.column_chunk(sc, from, to);
-                    let out = f(det, sc, &ys);
-                    assert_eq!(out.len(), to - from, "batch output count mismatch");
-                    out
-                }
-            })
-            .collect();
-        let (per_batch, run) = pool.run_scheduled(tasks, &costs);
-        *self
-            .fabric
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(FabricStats::from_run(
-            &run,
-            pool.speeds(),
-            cost.unit_seconds(work),
-            &costs,
-        ));
-        self.frames.fetch_add(1, Ordering::Relaxed);
-        self.vectors
-            .fetch_add(frame.n_vectors() as u64, Ordering::Relaxed);
-        scatter_grid(n_sc, frame.n_vectors(), &batches, per_batch)
-    }
-
-    /// Hard-detects the frame on a heterogeneous fabric — see
-    /// [`FrameEngine::process_frame_on_fabric`]. Bit-identical to
-    /// [`FrameEngine::detect_frame`] on any pool.
-    pub fn detect_frame_on_fabric<C: PeCost>(
-        &self,
-        frame: &RxFrame,
-        pool: &WeightedPool,
-        cost: &C,
-        work: &WorkUnit,
-    ) -> DetectedFrame {
-        let symbols = self.process_frame_on_fabric(frame, pool, cost, work, |det, _sc, ys| {
-            det.detect_batch_refs(ys)
-        });
-        DetectedFrame::from_parts(frame.n_subcarriers(), symbols)
+        self.record_frame(frame.n_vectors());
+        grids.swap_remove(0)
     }
 
     /// Detects every received vector of the frame, returning decisions in
@@ -565,7 +470,7 @@ mod tests {
     use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, MimoChannel};
     use flexcore_detect::{MmseDetector, SphereDecoder};
     use flexcore_modulation::{Constellation, Modulation};
-    use flexcore_parallel::{CrossbeamPool, SequentialPool};
+    use flexcore_parallel::{CrossbeamPool, SequentialPool, WeightedPool};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -774,10 +679,11 @@ mod tests {
     }
 
     #[test]
-    fn plan_orders_batches_longest_first() {
+    fn plan_tiles_the_frame_and_prices_extension_work() {
         use flexcore::AdaptiveFlexCore;
         // An adaptive template over a selective channel yields unequal
-        // slot efforts; the plan must be sorted by batch cost, descending.
+        // slot prices; every batch must cost its subcarrier's extension
+        // work × symbols, and the batches must tile the grid.
         let mut engine = FrameEngine::new(AdaptiveFlexCore::new(
             Constellation::new(Modulation::Qam16),
             16,
@@ -786,19 +692,16 @@ mod tests {
         let ch = selective_channel(12, 23);
         engine.prepare(&ch);
         let (frame, _) = build_frame(12, 6, &ch, 24);
-        let batches = engine.plan(&frame, 4);
-        let cost = |&(sc, from, to): &(usize, usize, usize)| {
-            engine.slot_effort(sc) as u64 * (to - from) as u64
-        };
-        for pair in batches.windows(2) {
-            assert!(
-                cost(&pair[0]) >= cost(&pair[1]),
-                "plan not LPT-sorted: {pair:?}"
-            );
+        let (batches, costs) = plan_batches(&[&frame], 4, |_, sc| engine.slot_extension_work(sc));
+        assert_eq!(batches.len(), costs.len());
+        for (&(e, sc, from, to), &cost) in batches.iter().zip(&costs) {
+            assert_eq!(e, 0);
+            let want = engine.detector(sc).extension_work() as u64 * (to - from) as u64;
+            assert_eq!(cost, want, "batch {sc}:{from}..{to}");
         }
-        // Every grid cell is still covered exactly once.
+        // Every grid cell is covered exactly once.
         let mut covered = vec![0usize; frame.n_vectors()];
-        for &(sc, from, to) in &batches {
+        for &(_, sc, from, to) in &batches {
             for sym in from..to {
                 covered[sym * 12 + sc] += 1;
             }
@@ -816,14 +719,17 @@ mod tests {
         let ch = selective_channel(1, 25);
         engine.prepare(&ch);
 
+        let plan = |frame: &RxFrame| plan_batches(&[frame], 4, |_, _| 1).0;
         let empty = RxFrame::empty(1);
-        assert!(engine.plan(&empty, 4).is_empty());
+        assert!(plan(&empty).is_empty());
         let out = engine.detect_frame(&empty, &SequentialPool::new(4));
         assert_eq!(out.n_symbols(), 0);
 
         let (frame, _) = build_frame(1, 9, &ch, 26);
-        let batches = engine.plan(&frame, 4);
-        assert!(batches.len() > 1, "single subcarrier should still chunk");
+        assert!(
+            plan(&frame).len() > 1,
+            "single subcarrier should still chunk"
+        );
         let out = engine.detect_frame(&frame, &CrossbeamPool::work_queue(3));
         let mut reference = MmseDetector::new(c);
         reference.prepare(ch.h(0), ch.sigma2());
@@ -835,22 +741,17 @@ mod tests {
     #[test]
     fn fabric_scheduling_preserves_bit_identity() {
         use flexcore::AdaptiveFlexCore;
-        use flexcore_hwmodel::{CpuModel, HeterogeneousFabric, WorkUnit};
+        use flexcore_hwmodel::HeterogeneousFabric;
         // Heterogeneous placement (2 fast + 6 slow) must not change a
         // single cell, fixed or adaptive, wide or degenerate grids.
         let ch = selective_channel(9, 41);
         let (frame, _) = build_frame(9, 5, &ch, 42);
-        let pool = crate::fabric::pool_for(&HeterogeneousFabric::lte_smallcell());
-        let cpu = CpuModel::fx8120();
-        let work = WorkUnit::new(NT, 16);
+        let pool = WeightedPool::new(HeterogeneousFabric::lte_smallcell().speed_factors());
 
         let mut fixed = FrameEngine::new(SphereDecoder::new(Constellation::new(Modulation::Qam16)));
         fixed.prepare(&ch);
         let reference = fixed.detect_frame(&frame, &SequentialPool::new(1));
-        assert_eq!(
-            fixed.detect_frame_on_fabric(&frame, &pool, &cpu, &work),
-            reference
-        );
+        assert_eq!(fixed.detect_frame(&frame, &pool), reference);
 
         let mut adaptive = FrameEngine::new(AdaptiveFlexCore::new(
             Constellation::new(Modulation::Qam16),
@@ -859,33 +760,29 @@ mod tests {
         ));
         adaptive.prepare(&ch);
         let reference = adaptive.detect_frame(&frame, &SequentialPool::new(1));
-        assert_eq!(
-            adaptive.detect_frame_on_fabric(&frame, &pool, &cpu, &work),
-            reference
-        );
+        assert_eq!(adaptive.detect_frame(&frame, &pool), reference);
 
         // Degenerate: empty frame on the fabric.
         let empty = RxFrame::empty(9);
-        let out = fixed.detect_frame_on_fabric(&empty, &pool, &cpu, &work);
+        let out = fixed.detect_frame(&empty, &pool);
         assert_eq!(out.n_symbols(), 0);
     }
 
     #[test]
-    fn fabric_stats_report_prediction_and_utilization() {
+    fn fabric_audit_reports_prediction_and_utilization() {
         use flexcore::FlexCoreDetector;
-        use flexcore_hwmodel::{CpuModel, HeterogeneousFabric, WorkUnit};
+        use flexcore_hwmodel::HeterogeneousFabric;
         let ch = selective_channel(16, 43);
         let mut engine = FrameEngine::new(FlexCoreDetector::with_pes(
             Constellation::new(Modulation::Qam16),
             16,
         ));
         engine.prepare(&ch);
-        assert!(engine.stats().fabric.is_none(), "no fabric run yet");
         let (frame, _) = build_frame(16, 8, &ch, 44);
-        let pool = crate::fabric::pool_for(&HeterogeneousFabric::lte_smallcell());
-        let work = WorkUnit::new(NT, 16);
-        engine.detect_frame_on_fabric(&frame, &pool, &CpuModel::fx8120(), &work);
-        let fabric = engine.stats().fabric.expect("fabric stats recorded");
+        let pool = WeightedPool::new(HeterogeneousFabric::lte_smallcell().speed_factors());
+        assert!(pool.last_audit().is_none(), "no fabric run yet");
+        engine.detect_frame(&frame, &pool);
+        let fabric = pool.last_audit().expect("fabric audit recorded");
         assert_eq!(fabric.n_pes, 8);
         // Batches are priced at extension_work × symbols: the prepared
         // tries' static walk costs, channel-dependent even at a fixed
@@ -900,7 +797,6 @@ mod tests {
             fabric.total_units
         );
         assert!(fabric.predicted_makespan_units > 0.0);
-        assert!(fabric.predicted_model_makespan_s > 0.0);
         assert!(fabric.measured_makespan_s > 0.0);
         assert!(fabric.packing_efficiency > 0.0 && fabric.packing_efficiency <= 1.0);
         assert_eq!(fabric.per_pe_utilization.len(), 8);
@@ -923,9 +819,9 @@ mod tests {
         ));
         engine.prepare(&flat);
         let (frame, _) = build_frame(16, 8, &flat, 46);
-        let uniform = crate::fabric::pool_for(&HeterogeneousFabric::uniform("u", 4));
-        engine.detect_frame_on_fabric(&frame, &uniform, &CpuModel::fx8120(), &work);
-        let fabric = engine.stats().fabric.expect("fabric stats recorded");
+        let uniform = WeightedPool::uniform(4);
+        engine.detect_frame(&frame, &uniform);
+        let fabric = uniform.last_audit().expect("fabric audit recorded");
         assert_eq!(fabric.packing_efficiency, 1.0);
     }
 

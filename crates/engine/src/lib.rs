@@ -19,10 +19,12 @@
 //! * [`FrameEngine`] — owns one prepared detector clone per subcarrier
 //!   (the paper's per-channel pre-processing, run only when a subcarrier's
 //!   generation changes), captures each subcarrier's
-//!   [`flexcore_detect::Detector::effort`] at preparation, carves the
-//!   frame into per-subcarrier symbol batches ordered
-//!   longest-processing-time-first, and schedules them onto a PE pool.
-//!   Each batch goes through
+//!   [`flexcore_detect::Detector::effort`] profile and
+//!   [`flexcore_detect::Detector::extension_work`] price at preparation,
+//!   carves the frame into per-subcarrier symbol batches priced by that
+//!   work, and hands them to a PE pool's
+//!   [`run_priced`](flexcore_parallel::PePool::run_priced). Each batch
+//!   goes through
 //!   [`flexcore_detect::Detector::detect_batch_refs`], amortising prepared
 //!   state across the whole column exactly as §3 prescribes;
 //! * [`ChannelStream`] — the streaming time-varying scenario: one
@@ -31,9 +33,9 @@
 //!   engine's cache must re-prepare;
 //! * [`StreamingCell`] — the multi-user serving layer: N independent
 //!   per-user `ChannelStream` + `FrameEngine` pairs whose frames are
-//!   sharded onto **one** shared PE pool per tick, LPT-ordered across
-//!   users, with per-user fairness accounting (frames-behind, effort
-//!   share);
+//!   sharded onto **one** shared PE pool per tick, priced across users in
+//!   the same units, with per-user fairness accounting (frames-behind,
+//!   effort share);
 //! * [`PipelinedCell`] — the overlapped serving loop: transmit/prepare of
 //!   frame *N+1*, detection of frame *N*, and decode of frame *N−1* run
 //!   concurrently, coupled by bounded backpressure queues
@@ -42,13 +44,13 @@
 //!   a per-frame deadline, and a per-user [`EffortController`] closes the
 //!   loop by re-tuning the a-FlexCore stopping threshold from observed
 //!   latency — without ever changing detections on a frozen schedule;
-//! * [`fabric`] — the hardware-aware layer: both the engine and the cell
-//!   can schedule onto a *heterogeneous* fabric
-//!   ([`flexcore_hwmodel::HeterogeneousFabric`] → a
-//!   [`flexcore_parallel::WeightedPool`] via [`pool_for`]), pricing each
-//!   batch at `Detector::extension_work() × PeCost` (the fine-grained
-//!   effort signal) and reporting predicted-vs-measured makespan plus
-//!   per-PE utilisation in [`FabricStats`].
+//! * placement is a property of the pool: the same entry points run on a
+//!   *heterogeneous* fabric through a
+//!   [`flexcore_parallel::WeightedPool`] built from
+//!   `flexcore_hwmodel::HeterogeneousFabric::speed_factors`, which places
+//!   the priced batches on its non-uniform PEs and reports
+//!   predicted-vs-measured makespan plus per-PE utilisation through
+//!   [`WeightedPool::last_audit`](flexcore_parallel::WeightedPool::last_audit).
 //!
 //! Results are **bit-identical** across substrates and batch shapes: the
 //! engine only reorders *scheduling*, never arithmetic, so
@@ -62,7 +64,6 @@
 
 pub mod channel;
 pub mod engine;
-pub mod fabric;
 pub mod frame;
 pub mod multiuser;
 pub mod pipeline;
@@ -70,7 +71,6 @@ pub mod stream;
 
 pub use channel::FrameChannel;
 pub use engine::{EngineStats, FrameEngine};
-pub use fabric::{pool_for, FabricStats};
 pub use frame::{DetectedFrame, RxFrame};
 pub use multiuser::{CellStats, StreamingCell, TickOutput};
 pub use pipeline::{EffortController, LatencyRecord, LatencyStats, PipelineReport, PipelinedCell};

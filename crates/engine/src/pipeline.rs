@@ -13,8 +13,8 @@
 //!   subcarrier's prepared detector ([`Arc`]-shared, refreshed only when
 //!   the slot's cache key moved);
 //! * the **detect stage** (worker thread) runs frame *N* through the
-//!   shared [`PePool`] with the same batch split, effort weighting, and
-//!   LPT order as a barrier tick;
+//!   shared [`PePool`] with the same batch split and extension-work
+//!   pricing as a barrier tick;
 //! * the **decode stage** (worker thread) drains frame *N−1* into the
 //!   caller's decode hook and stamps the frame's **submit→decode latency**
 //!   into a [`LatencyRecord`].
@@ -28,8 +28,8 @@
 //! **Pipelining is scheduling-only.** A batch's result depends on exactly
 //! two things: the prepared detector state it runs against and the batch
 //! geometry. The detect stage consumes the transmit stage's snapshots
-//! (bit-identical clones of the prepared slots) and splits through the
-//! same shared grid-split helper as every other scheduling path, so on a
+//! (bit-identical clones of the prepared slots) and plans through the
+//! same shared batch planner as every other scheduling path, so on a
 //! frozen tuning schedule the pipelined detections are bit-identical to
 //! [`StreamingCell::process_tick`](crate::StreamingCell::process_tick) —
 //! a property the tests enforce cell-for-cell.
@@ -42,13 +42,13 @@
 //! path selection (think `FlexCoreDetector::retune_threshold`), so the
 //! loop never pays a QR or a tree search to shed load.
 
-use crate::engine::{split_grid_batches, FrameEngine};
+use crate::engine::{run_frames, FrameEngine};
 use crate::frame::RxFrame;
 use crate::multiuser::TickOutput;
 use crate::stream::ChannelStream;
 use flexcore_detect::common::Detector;
 use flexcore_numeric::Cx;
-use flexcore_parallel::{bounded, lpt_order, PePool};
+use flexcore_parallel::{bounded, PePool};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -313,7 +313,7 @@ impl EffortController {
 struct SlotSnap<D> {
     key: (u64, u64, u64),
     det: Arc<D>,
-    effort: u64,
+    extension_work: usize,
 }
 
 struct PipeUser<D> {
@@ -348,15 +348,15 @@ impl<D: Detector + Clone + Sync> PipeUser<D> {
                 self.snaps[sc] = Some(SlotSnap {
                     key,
                     det: Arc::new(self.engine.detector(sc).clone()),
-                    effort: self.engine.slot_effort(sc) as u64,
+                    extension_work: self.engine.slot_extension_work(sc),
                 });
             }
         }
     }
 
-    /// The current snapshots as `(shared detectors, efforts)` per
+    /// The current snapshots as `(shared detector, extension work)` per
     /// subcarrier — the detect stage's entire view of this user.
-    fn snapshot(&self) -> (Vec<Arc<D>>, Vec<u64>) {
+    fn snapshot(&self) -> Vec<(Arc<D>, usize)> {
         self.snaps
             .iter()
             .map(|snap| {
@@ -364,19 +364,19 @@ impl<D: Detector + Clone + Sync> PipeUser<D> {
                     .as_ref()
                     // flexcore-lint: allow(FL004, reason = "refresh_snaps runs before every snapshot call and fills every subcarrier")
                     .expect("pipeline: snapshot before refresh");
-                (Arc::clone(&snap.det), snap.effort)
+                (Arc::clone(&snap.det), snap.extension_work)
             })
-            .unzip()
+            .collect()
     }
 }
 
 /// One user's share of one in-flight tick: its frame plus the snapshotted
-/// per-subcarrier detectors and efforts the detect stage schedules with.
+/// per-subcarrier detectors and extension work the detect stage schedules
+/// with.
 struct JobEntry<D> {
     user: usize,
     frame: RxFrame,
-    dets: Vec<Arc<D>>,
-    efforts: Vec<u64>,
+    slots: Vec<(Arc<D>, usize)>,
 }
 
 /// One tick travelling from the transmit stage to the detect stage.
@@ -520,8 +520,8 @@ impl<D: Detector + Clone + Send + Sync> PipelinedCell<D> {
     /// dictates), re-prepares the engine, and calls `transmit`; a
     /// returned frame is snapshotted into the tick's job (`None` skips
     /// the user this tick). The **detect stage** runs each job on `pool`
-    /// with the shared batch split, per-subcarrier effort weights, and
-    /// one LPT-ordered run per tick, exactly like a barrier tick. The
+    /// with the shared batch split and extension-work prices in one priced
+    /// run per tick, exactly like a barrier tick. The
     /// **decode stage** feeds every [`TickOutput`] to `decode` and stamps
     /// the frame's submit→decode latency against `deadline_s`.
     ///
@@ -641,14 +641,13 @@ impl<D: Detector + Clone + Send + Sync> PipelinedCell<D> {
                             user.stream.n_subcarriers(),
                             "pipeline: frame width does not match user {u}'s band"
                         );
-                        let (dets, efforts) = user.snapshot();
+                        let slots = user.snapshot();
                         user.engine.record_frame(frame.n_vectors());
                         frames += 1;
                         entries.push(JobEntry {
                             user: u,
                             frame,
-                            dets,
-                            efforts,
+                            slots,
                         });
                     }
                 }
@@ -695,8 +694,8 @@ impl<D: Detector + Clone + Send + Sync> PipelinedCell<D> {
     }
 }
 
-/// The detect stage's work for one tick: the same split, weighting, LPT
-/// order and scatter as a barrier tick, run against the job's detector
+/// The detect stage's work for one tick: the same planned, priced pool
+/// run and scatter as a barrier tick, run against the job's detector
 /// snapshots instead of the (possibly already re-prepared) engines.
 fn detect_stage<D, P, T, F>(pool: &P, f: &F, job: TickJob<D>) -> DoneTick<T>
 where
@@ -705,67 +704,24 @@ where
     T: Send,
     F: Fn(&D, usize, usize, &[&[Cx]]) -> Vec<T> + Sync,
 {
-    // One shared 2·n_pes task target divided across the served users —
-    // identical to the barrier tick's split, which is what keeps the
-    // batch geometry (and therefore the results) bit-identical.
-    let target = (2 * pool.n_pes()).div_ceil(job.entries.len().max(1));
-    let mut batches: Vec<(usize, usize, usize, usize)> = Vec::new();
-    for (eidx, entry) in job.entries.iter().enumerate() {
-        for (sc, from, to) in
-            split_grid_batches(entry.frame.n_subcarriers(), entry.frame.n_symbols(), target)
-        {
-            batches.push((eidx, sc, from, to));
-        }
-    }
-    let costs: Vec<u64> = batches
-        .iter()
-        .map(|&(e, sc, from, to)| job.entries[e].efforts[sc] * (to - from) as u64)
-        .collect();
-    let order = lpt_order(&costs);
-    let ordered: Vec<(usize, usize, usize, usize)> = order.iter().map(|&i| batches[i]).collect();
-
-    let tasks: Vec<_> = ordered
-        .iter()
-        .map(|&(e, sc, from, to)| {
-            let entry = &job.entries[e];
-            move || {
-                let ys = entry.frame.column_chunk(sc, from, to);
-                let out = f(entry.dets[sc].as_ref(), entry.user, sc, &ys);
-                assert_eq!(out.len(), to - from, "pipeline batch output count mismatch");
-                out
-            }
-        })
-        .collect();
-    let per_batch = pool.run(tasks);
-
-    let mut grids: Vec<Vec<Option<T>>> = job
-        .entries
-        .iter()
-        .map(|e| (0..e.frame.n_vectors()).map(|_| None).collect())
-        .collect();
-    {
-        // flexcore-lint: hot-path
-        // Scatter by grid position into the preallocated grids — the
-        // ordering-erasing step that makes LPT order invisible downstream.
-        for (&(e, sc, from, _), outputs) in ordered.iter().zip(per_batch) {
-            let n_sc = job.entries[e].frame.n_subcarriers();
-            for (offset, value) in outputs.into_iter().enumerate() {
-                grids[e][(from + offset) * n_sc + sc] = Some(value);
-            }
-        }
-    }
-    let outputs = job
-        .entries
+    let entries = &job.entries;
+    let frames: Vec<&RxFrame> = entries.iter().map(|entry| &entry.frame).collect();
+    let grids = run_frames(
+        pool,
+        &frames,
+        |e, sc| {
+            let (det, work) = &entries[e].slots[sc];
+            (det.as_ref(), *work)
+        },
+        |e, det, sc, ys| f(det, entries[e].user, sc, ys),
+    );
+    let outputs = entries
         .iter()
         .zip(grids)
-        .map(|(entry, grid)| TickOutput {
+        .map(|(entry, cells)| TickOutput {
             user: entry.user,
             n_subcarriers: entry.frame.n_subcarriers(),
-            cells: grid
-                .into_iter()
-                // flexcore-lint: allow(FL004, reason = "the batches tile each entry's grid exactly (shared split helper), so every cell was produced above")
-                .map(|v| v.expect("pipeline cell never produced"))
-                .collect(),
+            cells,
         })
         .collect();
     DoneTick {

@@ -25,13 +25,16 @@
 //!   from `flexcore_hwmodel::HeterogeneousFabric`). Batches are placed
 //!   with [`lpt_assign_weighted`] — the uniform-machines LPT rule, which
 //!   assigns each task to the PE that would *finish it earliest* instead
-//!   of assuming identical PEs — and every task is timed, so the frame
-//!   engine can report predicted-vs-measured makespan and per-PE
-//!   utilisation.
+//!   of assuming identical PEs — and every task is timed, so each priced
+//!   batch leaves a [`FabricStats`] audit: predicted-vs-measured makespan
+//!   and per-PE utilisation.
 //!
 //! All three implement [`PePool`], so every detector in the workspace runs
 //! unmodified on any of them, and `flexcore-engine` drives whole OFDM
-//! frames through them. Scheduling is ordering/placement only — detections
+//! frames through them. Placement is a property of the pool: callers hand
+//! [`PePool::run_priced`] one predicted cost per task, the identical-PE
+//! pools order the batch longest-first, and [`WeightedPool`] places it on
+//! its non-uniform PEs. Scheduling is ordering/placement only — detections
 //! stay bit-identical across substrates, a property the workspace tests
 //! enforce.
 //!
@@ -49,11 +52,11 @@ pub mod weighted;
 
 pub use channel::{bounded, Receiver, SendError, Sender};
 pub use pool::{
-    lpt_makespan, lpt_makespan_from_order, lpt_order, schedule_rounds, CrossbeamPool, PePool,
-    ScheduleMode, SequentialPool, WorkStats,
+    lpt_makespan, lpt_order, schedule_rounds, CrossbeamPool, PePool, ScheduleMode, SequentialPool,
+    WorkStats,
 };
 pub use weighted::{
-    lpt_assign_weighted, lpt_makespan_weighted, ScheduledRun, WeightedPool, WeightedSchedule,
+    lpt_assign_weighted, lpt_makespan_weighted, FabricStats, WeightedPool, WeightedSchedule,
 };
 
 /// The crate README's examples, compiled as doctests so they cannot rot

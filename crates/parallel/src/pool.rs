@@ -49,9 +49,9 @@ pub fn lpt_order(costs: &[u64]) -> Vec<usize> {
 /// [`lpt_order`] to `n_pes` greedy workers (each task goes to the
 /// least-loaded PE) and returns the maximum per-PE load.
 ///
-/// This is the multi-user cell's shared-pool latency model: dividing
+/// This is the identical-machines latency model: dividing
 /// `Σ costs / n_pes` by it gives the modelled parallel efficiency of a
-/// tick — 1.0 when the per-user batch costs pack perfectly, less when one
+/// batch — 1.0 when the task costs pack perfectly, less when one
 /// crowded subcarrier column dominates the critical path.
 ///
 /// ```
@@ -62,24 +62,9 @@ pub fn lpt_order(costs: &[u64]) -> Vec<usize> {
 /// assert_eq!(lpt_makespan(&[5, 5, 5, 5], 2), 10);
 /// ```
 pub fn lpt_makespan(costs: &[u64], n_pes: usize) -> u64 {
-    lpt_makespan_from_order(costs, &lpt_order(costs), n_pes)
-}
-
-/// [`lpt_makespan`] for a caller that already holds the [`lpt_order`]
-/// permutation of `costs` — skips the redundant sort (the multi-user
-/// cell computes the order once per tick for scheduling and reuses it
-/// here for the efficiency model).
-///
-/// ```
-/// use flexcore_parallel::{lpt_makespan, lpt_makespan_from_order, lpt_order};
-/// let costs = [7, 6, 5, 4, 3];
-/// let order = lpt_order(&costs);
-/// assert_eq!(lpt_makespan_from_order(&costs, &order, 2), lpt_makespan(&costs, 2));
-/// ```
-pub fn lpt_makespan_from_order(costs: &[u64], order: &[usize], n_pes: usize) -> u64 {
     assert!(n_pes > 0, "lpt_makespan: zero PEs");
     let mut loads = vec![0u64; n_pes];
-    for &i in order {
+    for i in lpt_order(costs) {
         // `n_pes > 0` is asserted above, so the minimum always exists;
         // the 0 fallback keeps this arm panic-free.
         let min = loads
@@ -90,6 +75,14 @@ pub fn lpt_makespan_from_order(costs: &[u64], order: &[usize], n_pes: usize) -> 
         loads[min] += costs[i];
     }
     loads.into_iter().max().unwrap_or(0)
+}
+
+/// The [`PePool::run_priced`] precondition: one cost per task.
+pub(crate) fn assert_priced(n_tasks: usize, n_costs: usize) {
+    assert_eq!(
+        n_tasks, n_costs,
+        "run_priced: {n_tasks} tasks but {n_costs} costs"
+    );
 }
 
 /// Cumulative work accounting for a pool.
@@ -167,6 +160,45 @@ pub trait PePool {
     where
         T: Send,
         F: FnOnce() -> T + Send;
+
+    /// Runs every task with its predicted cost, `costs[i]` for
+    /// `tasks[i]`, and returns the results **in task order**.
+    ///
+    /// Costs are placement only — they never change a result. The default
+    /// hands [`PePool::run`] the tasks in [`lpt_order`] (most expensive
+    /// first, ties in submission order), so a greedy or work-queue pool
+    /// starts the long tasks before the cheap ones fill the tail.
+    /// [`WeightedPool`](crate::WeightedPool) overrides it to place the
+    /// batch on its non-uniform PEs and audit the prediction.
+    ///
+    /// A pool that wraps another (for tracing or recording) must forward
+    /// `run_priced` to the inner pool, not just `run`: left to this
+    /// default, the wrapper hands the inner pool a plain `run`, so the
+    /// inner pool's own placement and audit never happen.
+    ///
+    /// ```
+    /// use flexcore_parallel::{PePool, SequentialPool};
+    /// let pool = SequentialPool::new(2);
+    /// let tasks: Vec<_> = (0..4).map(|i| move || i * 10).collect();
+    /// assert_eq!(pool.run_priced(tasks, &[1, 9, 4, 9]), vec![0, 10, 20, 30]);
+    /// ```
+    ///
+    /// # Panics
+    /// Panics if `costs.len() != tasks.len()`.
+    fn run_priced<T, F>(&self, tasks: Vec<F>, costs: &[u64]) -> Vec<T>
+    where
+        T: Send,
+        F: FnOnce() -> T + Send,
+    {
+        assert_priced(tasks.len(), costs.len());
+        let order = lpt_order(costs);
+        let mut slots: Vec<Option<F>> = tasks.into_iter().map(Some).collect();
+        // `order` is a permutation, so every slot is taken exactly once.
+        let ordered: Vec<F> = order.iter().filter_map(|&i| slots[i].take()).collect();
+        let mut results: Vec<(usize, T)> = order.into_iter().zip(self.run(ordered)).collect();
+        results.sort_unstable_by_key(|&(i, _)| i);
+        results.into_iter().map(|(_, v)| v).collect()
+    }
 
     /// Work accounting (tasks, batches, modelled rounds).
     fn stats(&self) -> &WorkStats;
@@ -437,6 +469,25 @@ mod tests {
         // Ties keep submission order: subcarriers of equal cost stay in
         // frequency order, so the schedule is deterministic.
         assert_eq!(lpt_order(&[5, 3, 5, 3, 5]), vec![0, 2, 4, 1, 3]);
+    }
+
+    #[test]
+    fn default_run_priced_runs_longest_first_and_scatters_back() {
+        let started = std::sync::Mutex::new(Vec::new());
+        // Ties (5, 5 and 0, 0) keep submission order; zeros go last.
+        let costs = [0u64, 5, 2, 5, 0, 9];
+        let tasks: Vec<_> = (0..costs.len())
+            .map(|i| {
+                let started = &started;
+                move || {
+                    started.lock().unwrap().push(i);
+                    i * 10
+                }
+            })
+            .collect();
+        let out = SequentialPool::new(2).run_priced(tasks, &costs);
+        assert_eq!(started.into_inner().unwrap(), vec![5, 1, 3, 2, 0, 4]);
+        assert_eq!(out, vec![0, 10, 20, 30, 40, 50]);
     }
 
     #[test]

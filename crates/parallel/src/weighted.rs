@@ -12,17 +12,19 @@
 //! pool in the same spirit as
 //! [`SequentialPool`](crate::SequentialPool) — tasks run on the calling
 //! thread (results therefore bit-identical to any other pool), while
-//! placement, per-PE finish times and per-task wall clocks are recorded so
-//! the frame engine can report predicted-vs-measured makespan and per-PE
-//! utilisation. Speed factors typically come from
+//! every priced batch ([`PePool::run_priced`]) records its placement,
+//! per-PE finish times and per-task wall clocks in a [`FabricStats`]
+//! audit: predicted-vs-measured makespan and per-PE utilisation. Speed
+//! factors typically come from
 //! `flexcore_hwmodel::HeterogeneousFabric::speed_factors()`.
 
-use crate::pool::{PePool, WorkStats};
+use crate::pool::{assert_priced, PePool, WorkStats};
+use parking_lot::Mutex;
 use std::time::Instant;
 
 /// Placement of one task batch onto non-uniform PEs, plus the modelled
 /// finish times. Produced by [`lpt_assign_weighted`]; consumed by
-/// [`WeightedPool::run_scheduled`] and the frame engine's fabric stats.
+/// [`WeightedPool`]'s priced runs.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WeightedSchedule {
     /// Task indices in the order the scheduler visited them (LPT:
@@ -136,46 +138,44 @@ pub fn lpt_makespan_weighted(costs: &[u64], speeds: &[f64]) -> f64 {
     lpt_assign_weighted(costs, speeds).makespan_units
 }
 
-/// The record of one [`WeightedPool::run_scheduled`] batch: where every
-/// task was placed, how long it actually took, and the resulting
-/// modelled-parallel timings.
+/// Audit record of one priced [`WeightedPool`] batch: how well the
+/// predicted per-task costs matched the measured per-task work, and how
+/// evenly the fabric was used.
 ///
-/// "Measured" quantities divide each task's wall-clock seconds by its
-/// assigned PE's speed factor, i.e. they answer *"how long would this
-/// batch have taken on the modelled fabric, given the work each task
-/// actually turned out to be?"* — which is exactly what a predicted
-/// makespan must be compared against.
-#[derive(Clone, Debug)]
-pub struct ScheduledRun {
-    /// The placement the batch executed under.
-    pub schedule: WeightedSchedule,
-    /// Wall-clock seconds each task took on the calling thread, in task
-    /// order.
-    pub task_seconds: Vec<f64>,
-    /// Per-PE busy time: `Σ task_seconds / speed` over assigned tasks.
-    pub busy_s: Vec<f64>,
-    /// `max(busy_s)` — the measured-work makespan of the batch on the
-    /// modelled fabric.
+/// "Measured" times book each task's wall-clock seconds to its assigned
+/// PE divided by that PE's speed factor — the modelled-parallel time of
+/// the batch given the work each task *actually* turned out to be, which
+/// is exactly what a predicted makespan must be compared against.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct FabricStats {
+    /// PEs in the fabric the batch was placed onto.
+    pub n_pes: usize,
+    /// Total predicted work: `Σ costs`, in the caller's cost units (the
+    /// frame engine prices batches in path-extension units).
+    pub total_units: u64,
+    /// Predicted makespan of the weighted-LPT placement, in work units
+    /// per unit speed.
+    pub predicted_makespan_units: f64,
+    /// `total_units / (Σ speeds · predicted_makespan_units)` — 1.0 when
+    /// the tasks pack the fabric perfectly, less when one expensive task
+    /// strands the rest of the pool.
+    pub packing_efficiency: f64,
+    /// Predicted makespan in measured-host seconds: the unit prediction
+    /// calibrated by the batch's own mean cost per unit
+    /// (`predicted_makespan_units × Σ task seconds / total_units`), i.e.
+    /// the prediction with the host's absolute speed divided out. Compare
+    /// against [`FabricStats::measured_makespan_s`].
+    pub predicted_makespan_s: f64,
+    /// Measured makespan: `max_pe Σ (task seconds / speed)` over the
+    /// tasks each PE was assigned.
     pub measured_makespan_s: f64,
-}
-
-impl ScheduledRun {
-    /// Measured per-PE utilisation: busy time over the measured makespan.
-    pub fn utilization(&self) -> Vec<f64> {
-        if self.measured_makespan_s <= 0.0 {
-            return vec![0.0; self.busy_s.len()];
-        }
-        self.busy_s
-            .iter()
-            .map(|&b| b / self.measured_makespan_s)
-            .collect()
-    }
-
-    /// Total measured work in seconds (`Σ task_seconds`, speed-unscaled) —
-    /// the calibration denominator for unit-cost models.
-    pub fn total_task_seconds(&self) -> f64 {
-        self.task_seconds.iter().sum()
-    }
+    /// `|predicted − measured| / measured` over the two host-second
+    /// makespans — how much the relative cost model (cost proportional
+    /// to real work) misplaced the critical path. 0 when nothing ran.
+    pub makespan_error: f64,
+    /// Per-PE utilisation of the measured run: busy time over makespan,
+    /// 1.0 for the critical PE.
+    pub per_pe_utilization: Vec<f64>,
 }
 
 /// A *simulated* pool of non-uniform processing elements.
@@ -183,11 +183,10 @@ impl ScheduledRun {
 /// Like [`SequentialPool`](crate::SequentialPool), tasks execute in order
 /// on the calling thread — results are bit-identical to every other
 /// substrate, which is what keeps heterogeneous scheduling auditable — but
-/// the pool carries per-PE **speed factors** and
-/// [`WeightedPool::run_scheduled`] additionally places each task with
-/// [`lpt_assign_weighted`] and times it, so callers can compare the
-/// predicted makespan against the measured one and report per-PE
-/// utilisation.
+/// the pool carries per-PE **speed factors**, and a priced batch
+/// ([`PePool::run_priced`]) is placed with [`lpt_assign_weighted`] and
+/// timed task by task. The resulting [`FabricStats`] audit of the most
+/// recent priced batch is read through [`WeightedPool::last_audit`].
 ///
 /// ```
 /// use flexcore_parallel::{PePool, WeightedPool};
@@ -195,11 +194,16 @@ impl ScheduledRun {
 /// assert_eq!(pool.n_pes(), 3);
 /// let out = pool.run((0..5).map(|i| move || i * 2).collect::<Vec<_>>());
 /// assert_eq!(out, vec![0, 2, 4, 6, 8]);
+/// assert!(pool.last_audit().is_none()); // a plain run is not audited
+/// let out = pool.run_priced((0..3).map(|i| move || i).collect::<Vec<_>>(), &[8, 2, 2]);
+/// assert_eq!(out, vec![0, 1, 2]);
+/// assert_eq!(pool.last_audit().unwrap().total_units, 12);
 /// ```
 #[derive(Debug)]
 pub struct WeightedPool {
     speeds: Vec<f64>,
     stats: WorkStats,
+    audit: Mutex<Option<FabricStats>>,
 }
 
 impl WeightedPool {
@@ -222,12 +226,13 @@ impl WeightedPool {
         WeightedPool {
             speeds,
             stats: WorkStats::default(),
+            audit: Mutex::new(None),
         }
     }
 
     /// A pool of `n` identical reference-speed PEs — behaviourally a
-    /// [`SequentialPool`](crate::SequentialPool) that can also
-    /// [`run_scheduled`](WeightedPool::run_scheduled).
+    /// [`SequentialPool`](crate::SequentialPool) that also audits its
+    /// priced batches.
     ///
     /// ```
     /// use flexcore_parallel::{PePool, WeightedPool};
@@ -242,51 +247,11 @@ impl WeightedPool {
         &self.speeds
     }
 
-    /// Runs every task (in task order, on the calling thread), placing the
-    /// batch on the fabric with [`lpt_assign_weighted`] over `costs` and
-    /// timing each task. Returns the results in task order plus the
-    /// [`ScheduledRun`] record.
-    ///
-    /// Placement never touches results — it only decides which modelled PE
-    /// each task's measured seconds are booked to.
-    ///
-    /// # Panics
-    /// Panics if `costs.len() != tasks.len()`.
-    pub fn run_scheduled<T, F>(&self, tasks: Vec<F>, costs: &[u64]) -> (Vec<T>, ScheduledRun)
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        assert_eq!(
-            tasks.len(),
-            costs.len(),
-            "run_scheduled: {} tasks but {} costs",
-            tasks.len(),
-            costs.len()
-        );
-        self.stats.record(tasks.len(), self.speeds.len());
-        let schedule = lpt_assign_weighted(costs, &self.speeds);
-        let mut results = Vec::with_capacity(tasks.len());
-        let mut task_seconds = Vec::with_capacity(tasks.len());
-        for task in tasks {
-            let t0 = Instant::now();
-            results.push(task());
-            task_seconds.push(t0.elapsed().as_secs_f64());
-        }
-        let mut busy_s = vec![0.0f64; self.speeds.len()];
-        for (task, &pe) in schedule.assignment.iter().enumerate() {
-            busy_s[pe] += task_seconds[task] / self.speeds[pe];
-        }
-        let measured_makespan_s = busy_s.iter().copied().fold(0.0, f64::max);
-        (
-            results,
-            ScheduledRun {
-                schedule,
-                task_seconds,
-                busy_s,
-                measured_makespan_s,
-            },
-        )
+    /// The audit of the most recent [`PePool::run_priced`] batch, or
+    /// `None` before the first one. A plain [`PePool::run`] leaves it
+    /// untouched.
+    pub fn last_audit(&self) -> Option<FabricStats> {
+        self.audit.lock().clone()
     }
 }
 
@@ -302,6 +267,69 @@ impl PePool for WeightedPool {
     {
         self.stats.record(tasks.len(), self.speeds.len());
         tasks.into_iter().map(|t| t()).collect()
+    }
+
+    /// Runs every task in task order on the calling thread, timing each,
+    /// and books the batch onto the fabric with [`lpt_assign_weighted`]
+    /// over `costs`. The [`FabricStats`] audit of the batch replaces
+    /// [`WeightedPool::last_audit`].
+    ///
+    /// Placement never touches results — it only decides which modelled
+    /// PE each task's measured seconds are booked to.
+    fn run_priced<T, F>(&self, tasks: Vec<F>, costs: &[u64]) -> Vec<T>
+    where
+        T: Send,
+        F: FnOnce() -> T + Send,
+    {
+        assert_priced(tasks.len(), costs.len());
+        self.stats.record(tasks.len(), self.speeds.len());
+        let schedule = lpt_assign_weighted(costs, &self.speeds);
+        let mut results = Vec::with_capacity(tasks.len());
+        let mut task_seconds = Vec::with_capacity(tasks.len());
+        for task in tasks {
+            let t0 = Instant::now();
+            results.push(task());
+            task_seconds.push(t0.elapsed().as_secs_f64());
+        }
+        let mut busy_s = vec![0.0f64; self.speeds.len()];
+        for (&pe, &seconds) in schedule.assignment.iter().zip(&task_seconds) {
+            busy_s[pe] += seconds / self.speeds[pe];
+        }
+        let measured_makespan_s = busy_s.iter().copied().fold(0.0, f64::max);
+        let total_units: u64 = costs.iter().sum();
+        let makespan_units = schedule.makespan_units;
+        let packing_efficiency = if makespan_units > 0.0 {
+            total_units as f64 / (self.speeds.iter().sum::<f64>() * makespan_units)
+        } else {
+            1.0
+        };
+        let unit_cost_s = if total_units > 0 {
+            task_seconds.iter().sum::<f64>() / total_units as f64
+        } else {
+            0.0
+        };
+        let predicted_makespan_s = makespan_units * unit_cost_s;
+        let makespan_error = if measured_makespan_s > 0.0 {
+            (predicted_makespan_s - measured_makespan_s).abs() / measured_makespan_s
+        } else {
+            0.0
+        };
+        let per_pe_utilization = if measured_makespan_s > 0.0 {
+            busy_s.iter().map(|&b| b / measured_makespan_s).collect()
+        } else {
+            busy_s // all zero: nothing took measurable time
+        };
+        *self.audit.lock() = Some(FabricStats {
+            n_pes: self.speeds.len(),
+            total_units,
+            predicted_makespan_units: makespan_units,
+            packing_efficiency,
+            predicted_makespan_s,
+            measured_makespan_s,
+            makespan_error,
+            per_pe_utilization,
+        });
+        results
     }
 
     fn stats(&self) -> &WorkStats {
@@ -432,35 +460,55 @@ mod tests {
     }
 
     #[test]
-    fn run_scheduled_returns_results_in_task_order() {
+    fn audit_of_a_perfectly_predicted_batch() {
+        // Tasks whose wall time is (approximately) proportional to their
+        // cost: spin loops scaled by the declared units.
         let pool = WeightedPool::new(vec![2.0, 1.0]);
-        let costs: Vec<u64> = (0..10).map(|i| 10 - i as u64).collect();
-        let (out, run) = pool.run_scheduled(square_tasks(10), &costs);
-        assert_eq!(out, (0..10).map(|i| i * i).collect::<Vec<_>>());
-        assert_eq!(run.task_seconds.len(), 10);
-        assert!(run.task_seconds.iter().all(|&t| t >= 0.0));
-        assert_eq!(run.busy_s.len(), 2);
-        assert!(run.measured_makespan_s >= *run.busy_s.first().unwrap() - 1e-15);
-        assert!(run.total_task_seconds() >= run.task_seconds[0]);
-        // Utilisation is bounded and someone hits 1.0.
-        let util = run.utilization();
-        assert!(util.iter().all(|&u| (0.0..=1.0 + 1e-12).contains(&u)));
-        assert!(util.iter().any(|&u| (u - 1.0).abs() < 1e-12));
+        let costs: Vec<u64> = vec![400, 200, 200, 100, 100];
+        let tasks: Vec<_> = costs
+            .iter()
+            .map(|&c| {
+                move || {
+                    let mut acc = 0u64;
+                    for i in 0..c * 40_000 {
+                        acc = acc.wrapping_mul(31).wrapping_add(i);
+                    }
+                    acc
+                }
+            })
+            .collect();
+        pool.run_priced(tasks, &costs);
+        let audit = pool.last_audit().expect("priced batch audited");
+        assert_eq!(audit.n_pes, 2);
+        assert_eq!(audit.total_units, 1000);
+        assert!(audit.predicted_makespan_units > 0.0);
+        assert!(audit.packing_efficiency > 0.5 && audit.packing_efficiency <= 1.0);
+        assert!(
+            audit.makespan_error < 0.25,
+            "spin-loop work should be predictable: error {}",
+            audit.makespan_error
+        );
+        assert_eq!(audit.per_pe_utilization.len(), 2);
+        assert!(audit
+            .per_pe_utilization
+            .iter()
+            .all(|&u| (0.0..=1.0 + 1e-12).contains(&u)));
+        assert!(audit
+            .per_pe_utilization
+            .iter()
+            .any(|&u| (u - 1.0).abs() < 1e-9));
     }
 
     #[test]
-    fn run_scheduled_empty_batch() {
-        let pool = WeightedPool::uniform(4);
-        let (out, run) = pool.run_scheduled(Vec::<fn() -> usize>::new(), &[]);
+    fn audit_of_an_empty_batch_reports_zeroes() {
+        let pool = WeightedPool::uniform(3);
+        let out = pool.run_priced(Vec::<fn() -> u8>::new(), &[]);
         assert!(out.is_empty());
-        assert_eq!(run.measured_makespan_s, 0.0);
-        assert_eq!(run.utilization(), vec![0.0; 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "tasks but")]
-    fn run_scheduled_rejects_cost_mismatch() {
-        let pool = WeightedPool::uniform(2);
-        let _ = pool.run_scheduled(square_tasks(3), &[1, 2]);
+        let audit = pool.last_audit().expect("empty batch audited");
+        assert_eq!(audit.total_units, 0);
+        assert_eq!(audit.measured_makespan_s, 0.0);
+        assert_eq!(audit.makespan_error, 0.0);
+        assert_eq!(audit.packing_efficiency, 1.0);
+        assert_eq!(audit.per_pe_utilization, vec![0.0; 3]);
     }
 }

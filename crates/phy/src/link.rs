@@ -339,7 +339,7 @@ where
 /// frame passes through the stream's *truth* channels while detection runs
 /// against its (possibly stale) *estimates* through the frame engine.
 ///
-/// Reuses [`transmit_chains`] and draws noise in exactly
+/// Reuses `transmit_chains` and draws noise in exactly
 /// [`simulate_packet_framed`]'s order, so on a frozen (zero-Doppler)
 /// [`ChannelStream`] holding the same `H` and `σ²` the outcome is
 /// **bit-for-bit identical** to the block-fading framed path — the bridge
@@ -383,7 +383,7 @@ where
 
 /// One multi-user serving tick, hard detection: every cell user ages one
 /// frame interval, transmits one whole packet through its truth channels
-/// ([`transmit_chains`] per user, each on its *own* RNG so a user's
+/// (`transmit_chains` per user, each on its *own* RNG so a user's
 /// traffic is independent of who else is scheduled), and all users'
 /// `(subcarrier × symbol)` grids are detected in **one** shared pool run
 /// ([`StreamingCell::detect_tick`]). Per user: deinterleave → Viterbi →

@@ -124,7 +124,7 @@ where
 /// against the (possibly stale) estimates on the pool, and the LLRs flow
 /// deinterleave → soft Viterbi → CRC-32 delivery check.
 ///
-/// Reuses [`crate::link::transmit_chains`] and draws noise in exactly the
+/// Reuses `crate::link::transmit_chains` and draws noise in exactly the
 /// hard streamed path's order, so with equal seeds the two paths see
 /// identical channels, payloads and noise — at matched PE budget the soft
 /// path's delivered-packet count can only match or beat the hard one's

@@ -6,7 +6,7 @@
 //! binary reproduces that shape for the *scheduling stack*: it runs the
 //! frame engine on each modelled fabric, measures the per-subcarrier
 //! effort profile and the fabric audit
-//! (`flexcore_engine::FabricStats`-equivalent numbers), and hands the
+//! (`flexcore_parallel::FabricStats`-equivalent numbers), and hands the
 //! per-cell [`HwMeasurement`]s to [`hardware_table`], which converts them
 //! into modelled throughput on the actual hardware via
 //! [`HeterogeneousFabric::ideal_throughput_bps`].

@@ -53,7 +53,7 @@ fn random_frame(channel: &FrameChannel, n_sym: usize, seed: u64) -> RxFrame {
 
 #[test]
 fn adaptive_batch_paths_are_bit_identical_to_per_vector_detect() {
-    // The PR 3 bugfix regression: both adaptive wrappers' detect_batch /
+    // The adaptive wrappers' batch regression: both wrappers'
     // detect_batch_refs must equal the per-vector loop exactly, across
     // channels and SNRs.
     let c = Constellation::new(Modulation::Qam16);
@@ -80,7 +80,6 @@ fn adaptive_batch_paths_are_bit_identical_to_per_vector_detect() {
             per_vector,
             "a-FlexCore {snr} dB"
         );
-        assert_eq!(afc.detect_batch(&ys), per_vector, "a-FlexCore {snr} dB");
 
         let mut akb = AdaptiveKBest::new(c.clone(), 16);
         akb.prepare(&h, sigma2_from_snr_db(snr));
@@ -90,7 +89,6 @@ fn adaptive_batch_paths_are_bit_identical_to_per_vector_detect() {
             per_vector,
             "a-K-best {snr} dB"
         );
-        assert_eq!(akb.detect_batch(&ys), per_vector, "a-K-best {snr} dB");
     }
 }
 

@@ -9,9 +9,13 @@ use flexcore_numeric::qr::{householder_qr, mgs_qr, sorted_qr_sqrd};
 use flexcore_numeric::solve::{back_substitute, hermitian_inverse};
 use flexcore_numeric::symvec::{SymVec, INLINE_STREAMS};
 use flexcore_numeric::{CMat, Cx};
+use flexcore_parallel::{
+    lpt_makespan_weighted, lpt_order, CrossbeamPool, PePool, SequentialPool, WeightedPool,
+};
 use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn symvec_hash(v: &SymVec) -> u64 {
     let mut h = DefaultHasher::new();
@@ -206,5 +210,124 @@ proptest! {
         let mut deeper = ranks.clone();
         deeper[0] += 1;
         prop_assert!(model.ln_path_prob(&deeper) < lp);
+    }
+}
+
+/// `n` tasks whose results identify them (and are not their index, so a
+/// permuted scatter cannot pass by accident).
+fn indexed_tasks(n: usize) -> Vec<impl FnOnce() -> u64 + Send> {
+    (0..n as u64)
+        .map(|i| move || i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xA5)
+        .collect()
+}
+
+/// `run_priced` on `pool` returns what `run` returns, in task order.
+fn priced_run_is_a_plain_run<P: PePool>(pool: &P, costs: &[u64]) -> Result<(), TestCaseError> {
+    let n = costs.len();
+    let want: Vec<u64> = indexed_tasks(n).into_iter().map(|t| t()).collect();
+    prop_assert_eq!(&pool.run(indexed_tasks(n)), &want);
+    prop_assert_eq!(&pool.run_priced(indexed_tasks(n), costs), &want);
+    Ok(())
+}
+
+/// The order in which `pool` starts the tasks of a priced batch, read on a
+/// pool that runs its tasks one at a time in the order `run` receives them.
+fn priced_execution_order<P: PePool>(pool: &P, costs: &[u64]) -> Vec<usize> {
+    let started = std::sync::Mutex::new(Vec::new());
+    let tasks: Vec<_> = (0..costs.len())
+        .map(|i| {
+            let started = &started;
+            move || started.lock().expect("order log poisoned").push(i)
+        })
+        .collect();
+    pool.run_priced(tasks, costs);
+    started.into_inner().expect("order log poisoned")
+}
+
+/// The panic message of a `run_priced` call with mismatched lengths.
+fn mismatch_message<P: PePool>(pool: &P, n_tasks: usize, n_costs: usize) -> String {
+    let payload = catch_unwind(AssertUnwindSafe(|| {
+        pool.run_priced(indexed_tasks(n_tasks), &vec![1; n_costs])
+    }))
+    .expect_err("a cost-length mismatch must panic");
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn run_priced_returns_run_results_in_task_order_on_every_pool(
+        // Small cost range: ties and zeros are common; 0 tasks included.
+        costs in proptest::collection::vec(0u64..4, 0..24),
+        n_pes in 1usize..5,
+        speeds in proptest::collection::vec(0.25f64..4.0, 1..5),
+    ) {
+        priced_run_is_a_plain_run(&SequentialPool::new(n_pes), &costs)?;
+        priced_run_is_a_plain_run(&CrossbeamPool::new(n_pes), &costs)?;
+        priced_run_is_a_plain_run(&CrossbeamPool::work_queue(n_pes), &costs)?;
+        priced_run_is_a_plain_run(&WeightedPool::new(speeds), &costs)?;
+    }
+
+    #[test]
+    fn default_run_priced_starts_tasks_longest_first(
+        costs in proptest::collection::vec(0u64..4, 0..24),
+        n_pes in 1usize..5,
+    ) {
+        // The LPT makespan bound rests on this order: the default hands
+        // `run` the tasks in `lpt_order`, and a sequential pool runs them
+        // in exactly the order it receives them.
+        let order = priced_execution_order(&SequentialPool::new(n_pes), &costs);
+        prop_assert_eq!(order, lpt_order(&costs));
+        // A one-worker work queue drains in submission order as well.
+        let order = priced_execution_order(&CrossbeamPool::work_queue(1), &costs);
+        prop_assert_eq!(order, lpt_order(&costs));
+    }
+
+    #[test]
+    fn weighted_audit_describes_the_last_priced_run(
+        costs in proptest::collection::vec(0u64..4, 0..24),
+        speeds in proptest::collection::vec(0.25f64..4.0, 1..6),
+    ) {
+        let pool = WeightedPool::new(speeds.clone());
+        prop_assert!(pool.last_audit().is_none(), "audit before any priced run");
+        pool.run(indexed_tasks(costs.len()));
+        prop_assert!(pool.last_audit().is_none(), "a plain run is not audited");
+        pool.run_priced(indexed_tasks(costs.len()), &costs);
+        let audit = pool.last_audit();
+        let Some(a) = audit.clone() else {
+            return Err(TestCaseError::Fail("priced run left no audit".into()));
+        };
+        prop_assert_eq!(a.total_units, costs.iter().sum::<u64>());
+        prop_assert_eq!(a.n_pes, speeds.len());
+        prop_assert_eq!(a.per_pe_utilization.len(), speeds.len());
+        prop_assert_eq!(a.predicted_makespan_units, lpt_makespan_weighted(&costs, &speeds));
+        pool.run(indexed_tasks(3));
+        // A plain run leaves the audit untouched.
+        prop_assert_eq!(pool.last_audit(), audit);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn run_priced_rejects_a_cost_length_mismatch_naming_both_lengths(
+        n_tasks in 0usize..8,
+        n_costs in 0usize..8,
+    ) {
+        prop_assume!(n_tasks != n_costs);
+        let want = format!("{n_tasks} tasks but {n_costs} costs");
+        for msg in [
+            mismatch_message(&SequentialPool::new(2), n_tasks, n_costs),
+            mismatch_message(&CrossbeamPool::new(2), n_tasks, n_costs),
+            mismatch_message(&CrossbeamPool::work_queue(2), n_tasks, n_costs),
+            mismatch_message(&WeightedPool::uniform(2), n_tasks, n_costs),
+        ] {
+            prop_assert!(msg.contains(&want), "panic message {msg:?} lacks {want:?}");
+        }
     }
 }

@@ -215,7 +215,6 @@ proptest! {
         let mut det = FcsdDetector::new(c, l_full.min(nt));
         det.prepare(&h, sigma2);
         let tri = det.triangular();
-        let seq = SequentialPool::new(8);
         for y in &ys {
             // Reference: allocating run_path over all paths + min_by.
             let ybar = tri.rotate(y);
@@ -225,7 +224,6 @@ proptest! {
                 .expect("at least one path");
             let reference = tri.unpermute(&best.0);
             prop_assert_eq!(&det.detect(y), &reference);
-            prop_assert_eq!(&det.detect_on_pool(y, &seq), &reference);
         }
     }
 
@@ -307,7 +305,6 @@ proptest! {
         let mut det = FcsdDetector::new(c, l_full);
         det.prepare(&h, sigma2);
         let tri = det.triangular();
-        let seq = SequentialPool::new(8);
         for y in &ys {
             let ybar = tri.rotate(y);
             let best = (0..det.paths())
@@ -316,7 +313,6 @@ proptest! {
                 .expect("at least one path");
             let reference = tri.unpermute(&best.0);
             prop_assert_eq!(&det.detect(y), &reference);
-            prop_assert_eq!(&det.detect_on_pool(y, &seq), &reference);
         }
     }
 

@@ -229,16 +229,17 @@ fn assert_detector_dispatch_identity(
     ctx: &str,
 ) {
     det.prepare(h, sigma2);
+    let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
     let (lanes, scalar) = {
         let _guard = DISPATCH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_lane_dispatch(true);
         let lanes = (
-            det.detect_batch(ys),
+            det.detect_batch_refs(&refs),
             ys.iter().map(|y| det.detect(y)).collect::<Vec<_>>(),
         );
         set_lane_dispatch(false);
         let scalar = (
-            det.detect_batch(ys),
+            det.detect_batch_refs(&refs),
             ys.iter().map(|y| det.detect(y)).collect::<Vec<_>>(),
         );
         set_lane_dispatch(env_dispatch());
@@ -331,7 +332,7 @@ fn frame_workload(
 fn substrates_bit_identical_across_dispatch_at_required_widths() {
     // The acceptance grid: at nt ∈ {4, 8, 16, 32, 64}, scalar and SIMD
     // dispatch must agree bit-for-bit on every pool/fabric substrate.
-    use flexcore_hwmodel::{CpuModel, HeterogeneousFabric, WorkUnit};
+    use flexcore_hwmodel::HeterogeneousFabric;
     use flexcore_parallel::WeightedPool;
 
     for &nt in &[4usize, 8, 16, 32, 64] {
@@ -343,7 +344,6 @@ fn substrates_bit_identical_across_dispatch_at_required_widths() {
         let c = Constellation::new(m);
         // 6 OFDM symbols per subcarrier: one full lane block + tail.
         let (channel, frame) = frame_workload(nt, m, 3, 6, 11_000 + nt as u64);
-        let work = WorkUnit::new(nt, 16);
         let fabric = HeterogeneousFabric::uniform("flat", 3);
 
         fn on_pool<P: PePool>(
@@ -360,14 +360,12 @@ fn substrates_bit_identical_across_dispatch_at_required_widths() {
             let seq = SequentialPool::new(1);
             let cb = CrossbeamPool::new(3);
             let weighted = WeightedPool::new(fabric.speed_factors());
-            let mut out = vec![
+            let out = vec![
                 on_pool(&seq, &c, &channel, &frame),
                 on_pool(&cb, &c, &channel, &frame),
                 on_pool(&weighted, &c, &channel, &frame),
             ];
-            let mut engine = FrameEngine::new(FlexCoreDetector::with_pes(c.clone(), 8));
-            engine.prepare(&channel);
-            out.push(engine.detect_frame_on_fabric(&frame, &weighted, &CpuModel::fx8120(), &work));
+            assert!(weighted.last_audit().is_some(), "fabric audit recorded");
             out
         };
         let (lanes, scalar) = under_both_dispatch_modes(run_all);
